@@ -21,29 +21,14 @@ def rope_tables(head_dim: int, max_len: int, base: float = 10000.0):
     return np.cos(angles).astype(np.float32), np.sin(angles).astype(np.float32)
 
 
-def apply_rope(x: Tensor, cos: np.ndarray, sin: np.ndarray, offset=0) -> Tensor:
+def apply_rope(x: Tensor, cos: np.ndarray, sin: np.ndarray, offset: int = 0) -> Tensor:
     """Rotate pairs of channels of ``x`` (..., T, head_dim) by position.
 
-    ``offset`` shifts the position index, used during cached decoding.  It
-    is either a scalar (one offset for the whole batch) or a ``(batch,)``
-    integer array giving each row its own base position — the latter is
-    what pooled-cache batched decoding needs, where resident requests sit
-    at different depths of their own sequences.
+    ``offset`` shifts the position index, used during cached decoding.
     """
     seq_len = x.shape[-2]
-    if np.ndim(offset) == 0:
-        cos_t = cos[offset : offset + seq_len]
-        sin_t = sin[offset : offset + seq_len]
-    else:
-        offsets = np.asarray(offset, dtype=np.int64)
-        if offsets.ndim != 1 or offsets.shape[0] != x.shape[0]:
-            raise ValueError(
-                f"per-row offsets must be ({x.shape[0]},), got {offsets.shape}"
-            )
-        pos = offsets[:, None] + np.arange(seq_len)  # (batch, seq)
-        # (batch, 1, seq, head_dim//2): broadcasts over the heads axis.
-        cos_t = cos[pos][:, None, :, :]
-        sin_t = sin[pos][:, None, :, :]
+    cos_t = cos[offset : offset + seq_len]
+    sin_t = sin[offset : offset + seq_len]
     x1 = x[..., 0::2]
     x2 = x[..., 1::2]
     rot1 = x1 * cos_t - x2 * sin_t
@@ -390,7 +375,6 @@ class MultiHeadAttention(Module):
         x: Tensor,
         cache: Optional[KVCache] = None,
         key_padding_mask: Optional[np.ndarray] = None,
-        positions: Optional[np.ndarray] = None,
     ) -> Tensor:
         """Attend over ``x`` (batch, seq, dim); causal within the sequence.
 
@@ -401,40 +385,23 @@ class MultiHeadAttention(Module):
         ``key_padding_mask`` is a boolean array, True at PAD positions;
         those keys are excluded from every query's attention.  Without a
         cache it is ``(batch, seq)``; with a cache it covers the whole key
-        axis, ``(batch, cache.length + seq)`` — used by pooled-cache
-        batched decoding, where rows of a shared cache block hold
-        sequences of different lengths.
-
-        ``positions`` (cache only) gives each batch row its own RoPE base
-        position for the suffix, overriding the array-derived offset.
-        Rows whose cached length is shorter than the shared cache array
-        must mask their tail via ``key_padding_mask``.
+        axis, ``(batch, cache.length + seq)``.
         """
         batch, seq, _ = x.shape
-        if positions is not None and cache is None:
-            raise ValueError("per-row positions require a KV cache")
         offset = cache.length if cache is not None else 0
         total = offset + seq
         if key_padding_mask is not None and key_padding_mask.shape != (batch, total):
             raise ValueError(
                 f"key_padding_mask shape {key_padding_mask.shape} != {(batch, total)}"
             )
-        if positions is not None:
-            rope_offset = np.asarray(positions, dtype=np.int64)
-            max_pos = int(rope_offset.max()) + seq if rope_offset.size else seq
-        else:
-            rope_offset = offset
-            max_pos = total
-        if max(max_pos, total) > self.max_len:
-            raise ValueError(
-                f"sequence length {max(max_pos, total)} exceeds max_len {self.max_len}"
-            )
+        if total > self.max_len:
+            raise ValueError(f"sequence length {total} exceeds max_len {self.max_len}")
 
         q = self._split_heads(self.q_proj(x))
         k = self._split_heads(self.k_proj(x), self.num_kv_heads)
         v = self._split_heads(self.v_proj(x), self.num_kv_heads)
-        q = apply_rope(q, self.rope_cos, self.rope_sin, offset=rope_offset)
-        k = apply_rope(k, self.rope_cos, self.rope_sin, offset=rope_offset)
+        q = apply_rope(q, self.rope_cos, self.rope_sin, offset=offset)
+        k = apply_rope(k, self.rope_cos, self.rope_sin, offset=offset)
 
         if cache is not None:
             # Cached in kv-head layout: GQA shrinks the cache itself.
@@ -447,9 +414,6 @@ class MultiHeadAttention(Module):
         scores = (q @ k.swapaxes(-1, -2)) * (1.0 / np.sqrt(self.head_dim))
         # Causal mask over key-array order: the query at array position
         # offset+i may attend to keys at array positions <= offset+i.
-        # Pooled-cache decoding keeps its key arrays in [valid prefix |
-        # pad | suffix] order, so array order respects causality there
-        # too, with the pad slice removed by key_padding_mask.
         q_pos = np.arange(offset, offset + seq)[:, None]
         k_pos = np.arange(total)[None, :]
         mask = k_pos > q_pos
@@ -491,10 +455,9 @@ class MultiHeadAttention(Module):
 
         Returns ``(out, k_new, v_new)`` where ``k_new``/``v_new`` are the
         suffix's cache entries ``(batch, kv_heads, seq, head_dim)``.
-        The arithmetic is bitwise-identical to :meth:`forward` over a
-        ``[valid prefix | pad | suffix]`` cache layout: masked positions
-        score ``-1e9`` and underflow to exactly 0 in softmax, so extra
-        bucket padding never perturbs the output.
+        Keys sit in ``[valid prefix | pad | suffix]`` array order: masked
+        positions score ``-1e9`` and underflow to exactly 0 in softmax,
+        so bucket padding carries no attention weight.
         """
         q = self._split_heads(self.q_proj(x))
         k = self._split_heads(self.k_proj(x), self.num_kv_heads)

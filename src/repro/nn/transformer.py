@@ -113,15 +113,13 @@ class TransformerBlock(Module):
         x: Tensor,
         cache: Optional[KVCache] = None,
         key_padding_mask=None,
-        positions=None,
     ) -> Tensor:
         # Sliced blocks (see repro.nn.slicing) carry shortcut rotations
         # that map the incoming residual into the sublayer-output basis;
         # unsliced blocks have no such buffers and pay nothing.
         attn_out = self.dropout(
             self.attn(
-                self.attn_norm(x), cache=cache,
-                key_padding_mask=key_padding_mask, positions=positions,
+                self.attn_norm(x), cache=cache, key_padding_mask=key_padding_mask
             )
         )
         shortcut = getattr(self, "attn_shortcut_Q", None)
@@ -258,7 +256,6 @@ class TransformerLM(Module):
         caches: Optional[List[KVCache]] = None,
         return_hidden_states: bool = False,
         key_padding_mask: Optional[np.ndarray] = None,
-        positions: Optional[np.ndarray] = None,
     ):
         """Compute logits ``(batch, seq, vocab)`` for token ids.
 
@@ -267,17 +264,12 @@ class TransformerLM(Module):
         for early-exit heads.  ``key_padding_mask`` (True=PAD; ``(batch,
         seq)``, or ``(batch, cache_len + seq)`` with caches) excludes
         padded keys from attention for batched variable-length inputs.
-        ``positions`` gives each batch row its own RoPE base position
-        during pooled-cache batched decoding (see ``repro.serve``).
         """
         hidden = self.embed_tokens(ids)
         hidden_states: List[Tensor] = []
         for i, block in enumerate(self.blocks):
             cache = caches[i] if caches is not None else None
-            hidden = block(
-                hidden, cache=cache, key_padding_mask=key_padding_mask,
-                positions=positions,
-            )
+            hidden = block(hidden, cache=cache, key_padding_mask=key_padding_mask)
             if return_hidden_states:
                 hidden_states.append(hidden)
         logits = self.head(hidden)

@@ -9,23 +9,37 @@ request-level generation runtime:
 * **Batched decode** advances many resident requests one token in a
   single model forward.  Each request keeps its own per-layer
   :class:`~repro.nn.attention.KVCache` block (leased from the cache
-  pool); per step the engine stacks those blocks into a shared padded
-  cache, masks each row's padding tail via ``key_padding_mask``, gives
-  each row its true RoPE position via ``positions``, then scatters the
-  newly appended key/value entries back to the per-request blocks.
+  pool).  Every step runs on one padded-slab layout: per layer, the
+  blocks are stacked into a ``(batch, kv_heads, bucket, head_dim)`` slab
+  whose width is the longest row rounded up to ``DECODE_BUCKET``, each
+  row's padding tail is masked, and each row's RoPE tables are gathered
+  at its true position (``TransformerBlock.forward_decode``).  One commit
+  step then appends the new key/value entries to the per-request blocks.
+  Batch 1 is a batch of one.
 * **Voting decode** replaces the final head with the calibrated mixture
   of exit heads (:class:`~repro.adaptive.VotingCombiner`), computed
   through the combiner's logits-only fast path on last-position logits.
-  With a ``confidence_threshold``, decoding exits early: the shallowest
-  exit whose own max-probability clears the threshold ends that row's
-  forward, and the mixture is renormalized over the exits actually
+  It runs the same blocks on the same slabs one at a time.  With a
+  ``confidence_threshold``, decoding exits early per row: the shallowest
+  exit whose own max-probability clears the threshold decides that row's
+  token, and the mixture is renormalized over the exits actually
   computed.  Skipped layers still receive a cache entry for the token —
   key/value projections of the exit hidden state (CALM-style state
   propagation) — so any later token may run the full depth.
 
-Determinism: a request's logits depend only on its own cache rows, so
-decode results are identical whether requests are batched or served one
-at a time, and identical between the stacked and direct (batch-1) paths.
+Graph capture is a cache over that one path.  With capture on, plain and
+speculative steps replay a graph captured once per (batch, bucket)
+shape, and the decode slabs persist across steps: the new token's k/v is
+written in place and the slabs are revalidated against the per-request
+blocks before reuse.  With capture off, every step re-stacks the slabs
+and traces the same build — the stateless reference the capture
+on ≡ off token tests compare against.  Voting decode is traced on the
+slabs in both modes.
+
+Determinism: a request's logits depend only on its own cache rows
+(masked padding scores underflow to exactly 0 in softmax), so decode
+results are identical whether requests are batched or served one at a
+time.
 
 Compressed models fold automatically: serving runs frozen and under
 ``no_grad``, so ``TransformedLinear`` layers hit their effective-weight
@@ -39,9 +53,9 @@ prefill and decode step reuses it (see ``docs/architecture.md``).
   draft's tap hidden states — the shallow blocks never run twice — and
   emits ``accepted + 1`` tokens per cycle (the accepted draft run plus
   the full model's own next token, a correction on mismatch or a bonus
-  when every draft survived).  Rejected draft entries roll back through
-  ``KVCache.truncate``.  Because every emitted token is the argmax of
-  full-depth logits conditioned on previously emitted tokens, greedy
+  when every draft survived).  Only the accepted entries are committed
+  to the per-request blocks.  Because every emitted token is the argmax
+  of full-depth logits conditioned on previously emitted tokens, greedy
   speculative decode is token-identical to vanilla greedy decode;
   ``draft_k=0`` *is* the vanilla engine.
 
@@ -70,6 +84,11 @@ from ..tensor import (
     no_grad,
 )
 
+# Slab widths round up to a multiple of this, so one captured graph
+# serves a range of cache lengths; the padding is masked and
+# bitwise-neutral.
+DECODE_BUCKET = 32
+
 
 def _softmax_np(x: np.ndarray, axis: int = -1) -> np.ndarray:
     shifted = x - x.max(axis=axis, keepdims=True)
@@ -96,7 +115,6 @@ class GenerationEngine:
         draft_exit: Optional[int] = None,
         draft_k: int = 0,
         graph_capture: Optional[bool] = None,
-        decode_bucket: int = 32,
     ):
         if confidence_threshold is not None:
             if voting is None:
@@ -136,20 +154,14 @@ class GenerationEngine:
         self.draft_heads = draft_heads
         self.draft_exit = draft_exit if draft_k > 0 else None
         self.draft_k = draft_k
-        # Decode-step graphs, keyed per (kind, batch, prefix-bucket[, ...]).
-        # Cache prefixes are bucketed to `decode_bucket` so one captured
-        # graph serves a range of sequence lengths; bucket padding is
-        # masked and bitwise-neutral (masked scores underflow to 0 in
-        # softmax).  None inherits the process-wide toggle.
+        # Decode-step graphs, keyed per (kind, batch, bucket[, ...]).
+        # None inherits the process-wide toggle.
         self.graph_capture = graph_capture
         self._graphs = GraphCache()
-        self._bucket = max(1, int(decode_bucket))
-        # Persistent padded k/v slabs for the graph decode path: instead
-        # of re-stacking every request's whole prefix each step, the new
-        # token's k/v is written in place and the slabs are revalidated
-        # against the authoritative per-entry caches (entry identity,
-        # lengths, and cache-array identity) before reuse.
-        self._slab_state = None
+        # Persistent decode slabs, kept only while capture is on:
+        # ``(key, ks, vs)``, where ``key`` pins what the slabs mirror
+        # (see :meth:`_slab_key`).
+        self._slabs = None
         model.eval()
 
     @property
@@ -216,115 +228,102 @@ class GenerationEngine:
 
         Returns ``(logits, early_exited)``: last-position logits
         ``(batch, vocab)`` and a boolean flag per row marking tokens
-        decided by a confident shallow exit.
+        decided by a confident shallow exit.  Raises ``ValueError``,
+        touching no cache, when an entry already holds ``max_len``
+        tokens.
         """
         if not entries:
             raise ValueError("decode_step needs at least one entry")
+        lengths = self._lengths(entries, 1)
         reg = get_registry()
         reg.counter("serve/decode_steps").inc()
         reg.counter("serve/decode_tokens").inc(len(entries))
-        with no_grad():
-            if self.voting is None and self._capture_active():
-                return self._decode_graph(entries)
-            if len(entries) == 1:
-                return self._decode_direct(entries[0])
-            return self._decode_stacked(entries)
-
-    # -- direct (batch-1) path -----------------------------------------
-    def _decode_direct(self, entry) -> Tuple[np.ndarray, np.ndarray]:
-        ids = np.array([[entry.last_token]], dtype=np.int64)
-        caches = entry.caches
-        if self.voting is None:
-            logits = self.model(ids, caches=caches)
-            return logits.data[:, -1, :], np.zeros(1, dtype=bool)
-
-        position = caches[0].length
-        per_exit: Dict[int, np.ndarray] = {}
-        hidden = self.model.embed_tokens(ids)
-        exit_depth = np.array([self.num_layers])
-        for i, block in enumerate(self.model.blocks):
-            hidden = block(hidden, cache=caches[i])
-            point = i + 1
-            if point in self.voting.exit_points:
-                per_exit[point] = self._exit_logits(point, hidden)
-                if self._confident(per_exit[point])[0] and point < self.num_layers:
-                    exit_depth[0] = point
-                    break
-        depth = int(exit_depth[0])
-        if depth < self.num_layers:
-            # Skipped layers still get this token's cache entry, projected
-            # from the exit hidden state.
-            frozen = hidden.data[0, -1]
-            for layer in range(depth, self.num_layers):
-                k, v = self._propagate_kv(layer, frozen, position)
-                caches[layer].append(k, v)
-                frozen = self._identity_advance(layer, frozen)
-            get_registry().counter("serve/early_exit_tokens").inc()
-        logits = self._combine_rows(per_exit, exit_depth)
-        return logits, exit_depth < self.num_layers
-
-    # -- stacked (batched) path ----------------------------------------
-    def _decode_stacked(self, entries: Sequence) -> Tuple[np.ndarray, np.ndarray]:
-        model = self.model
-        batch = len(entries)
+        bucket = self._bucket_len(int(lengths.max()), 1)
+        ks, vs = self._decode_slabs(entries, lengths, bucket)
+        # seq == 1 at the last array position: causality is vacuous, only
+        # the bucket-padding tails need masking.
+        mask = self._pad_mask(lengths, bucket, bucket + 1)[:, None, None, :]
+        cos_t, sin_t = self._rope_slices(lengths, 1)
         ids = np.array([[e.last_token] for e in entries], dtype=np.int64)
-        lengths = np.array([e.caches[0].length for e in entries], dtype=np.int64)
-        max_len = int(lengths.max())
+        inputs = [ids, mask, cos_t, sin_t]
+        with no_grad():
+            if self.voting is None:
+                logits, new_ks, new_vs = self._decode_plain(inputs, ks, vs)
+                early = np.zeros(len(entries), dtype=bool)
+            else:
+                logits, early, new_ks, new_vs = self._decode_voting(
+                    inputs, ks, vs, lengths
+                )
+        self._commit(entries, new_ks, new_vs, np.ones(len(entries), dtype=np.int64))
+        self._advance_slabs(entries, lengths, ks, vs, new_ks, new_vs)
+        return logits, early
 
-        stacked = self._stack_caches(entries, range(self.num_layers), max_len)
-        # True at each row's padding tail; the appended token (last
-        # column) is always valid.
-        pad = np.arange(max_len + 1)[None, :] >= lengths[:, None]
-        pad[:, max_len] = False
+    def _decode_plain(self, inputs, ks, vs):
+        """Final-head decode through :meth:`_graph_apply`."""
+        model = self.model
+        n = self.num_layers
 
-        if self.voting is None:
-            logits = model(
-                ids, caches=stacked, key_padding_mask=pad, positions=lengths
+        def build(tensors):
+            ids_t, mask_t, cos_t, sin_t = tensors[:4]
+            hidden, new_ks, new_vs = model.run_blocks_decode(
+                model.embed_tokens(ids_t), tensors[4 : 4 + n], tensors[4 + n :],
+                mask_t, cos_t, sin_t,
             )
-            self._scatter_back(entries, stacked, max_len)
-            return logits.data[:, -1, :], np.zeros(batch, dtype=bool)
+            return [model.head(hidden)] + new_ks + new_vs
 
+        key = ("decode", len(inputs[0]), ks[0].shape[2], fused_kernels_enabled())
+        outs = self._graph_apply(key, inputs + ks + vs, build)
+        return outs[0][:, -1, :], outs[1 : 1 + n], outs[1 + n :]
+
+    def _decode_voting(self, inputs, ks, vs, lengths):
+        """Voted decode, traced block by block on the slabs.
+
+        A row leaves at its first confident exit; it keeps riding along
+        (outputs discarded) until every row has left, and each of its
+        skipped layers gets the cache entry :meth:`_propagate_kv`
+        projects from the frozen exit hidden state."""
+        model = self.model
+        n = self.num_layers
+        batch = len(lengths)
+        ids, mask, cos_t, sin_t = inputs
+        mask, cos_t, sin_t = Tensor(mask), Tensor(cos_t), Tensor(sin_t)
         per_exit: Dict[int, np.ndarray] = {}
-        exit_depth = np.full(batch, self.num_layers, dtype=np.int64)
-        exited = np.zeros(batch, dtype=bool)
-        frozen = [None] * batch
-        ran_blocks = 0
+        exit_depth = np.full(batch, n, dtype=np.int64)
+        frozen: List[Optional[np.ndarray]] = [None] * batch
+        new_ks: List[np.ndarray] = []
+        new_vs: List[np.ndarray] = []
         hidden = model.embed_tokens(ids)
         for i, block in enumerate(model.blocks):
-            if exited.all():
+            if (exit_depth < n).all():
                 break
-            hidden = block(
-                hidden, cache=stacked[i], key_padding_mask=pad, positions=lengths
+            hidden, k_new, v_new = block.forward_decode(
+                hidden, Tensor(ks[i]), Tensor(vs[i]), mask, cos_t, sin_t
             )
-            ran_blocks = i + 1
+            new_ks.append(k_new.data)
+            new_vs.append(v_new.data)
             point = i + 1
             if point in self.voting.exit_points:
                 per_exit[point] = self._exit_logits(point, hidden)
-                if point < self.num_layers:
-                    newly = ~exited & self._confident(per_exit[point])
+                if point < n:
+                    newly = (exit_depth == n) & self._confident(per_exit[point])
+                    exit_depth[newly] = point
                     for b in np.flatnonzero(newly):
-                        exit_depth[b] = point
                         frozen[b] = hidden.data[b, -1].copy()
-                    exited |= newly
-
-        for layer in range(self.num_layers):
-            ran = layer < ran_blocks
-            if ran:
-                k_new = stacked[layer].k[:, :, max_len:, :]
-                v_new = stacked[layer].v[:, :, max_len:, :]
-            for b, entry in enumerate(entries):
-                if ran and layer < exit_depth[b]:
-                    entry.caches[layer].append(k_new[b : b + 1], v_new[b : b + 1])
-                else:
-                    k, v = self._propagate_kv(layer, frozen[b], int(lengths[b]))
-                    entry.caches[layer].append(k, v)
-                    frozen[b] = self._identity_advance(layer, frozen[b])
-        early = exit_depth < self.num_layers
+        for layer in range(n):
+            rows = np.flatnonzero(exit_depth <= layer)
+            if not rows.size:
+                continue
+            if layer == len(new_ks):  # no row ran this block
+                new_ks.append(np.empty_like(new_ks[0]))
+                new_vs.append(np.empty_like(new_vs[0]))
+            for b in rows:
+                k, v = self._propagate_kv(layer, frozen[b], int(lengths[b]))
+                new_ks[layer][b], new_vs[layer][b] = k[0], v[0]
+                frozen[b] = self._identity_advance(layer, frozen[b])
+        early = exit_depth < n
         if early.any():
-            get_registry().counter("serve/early_exit_tokens").inc(
-                int(early.sum())
-            )
-        return self._combine_rows(per_exit, exit_depth), early
+            get_registry().counter("serve/early_exit_tokens").inc(int(early.sum()))
+        return self._combine_rows(per_exit, exit_depth), early, new_ks, new_vs
 
     # ------------------------------------------------------------------
     # speculative decode (draft k tokens shallow, verify full-depth once)
@@ -359,12 +358,7 @@ class GenerationEngine:
         reg = get_registry()
         reg.counter("serve/decode_steps").inc()
         with no_grad():
-            if self._capture_active():
-                outs, accepted = self._speculative_graph(entries, k)
-            elif len(entries) == 1:
-                outs, accepted = self._speculative_direct(entries[0], k)
-            else:
-                outs, accepted = self._speculative_stacked(entries, k)
+            outs, accepted = self._speculative(entries, k)
         batch = len(entries)
         emitted = sum(len(o) for o in outs)
         reg.counter("serve/decode_tokens").inc(emitted)
@@ -375,111 +369,87 @@ class GenerationEngine:
         reg.counter("serve/spec/emitted_tokens").inc(emitted)
         return outs
 
-    def _speculative_direct(self, entry, k: int):
-        """Batch-1 draft/verify cycle.
-
-        The ``k + 1`` shallow passes append straight into the entry's own
-        caches; rejected entries are rolled back afterwards through
-        ``KVCache.truncate`` (the rollback path the shared-view COW
-        semantics exist for)."""
-        model = self.model
-        caches = entry.caches
-        d = self.draft_exit
-        base = caches[0].length
-        token = int(entry.last_token)
-        drafts: List[int] = []
-        taps: List[np.ndarray] = []
-        for j in range(k + 1):
-            ids = np.array([[token]], dtype=np.int64)
-            hidden = model.embed_tokens(ids)
-            for i in range(d):
-                hidden = model.blocks[i](hidden, cache=caches[i])
-            taps.append(hidden.data)
-            if j < k:
-                logits = self.draft_heads.logits_at(d, hidden)
-                token = int(logits.data[0, -1].argmax())
-                drafts.append(token)
-        # Verify: one pass of the deep blocks over the k+1 tap states —
-        # the shallow blocks never run twice.
-        hidden = Tensor(np.concatenate(taps, axis=1))
-        for i in range(d, self.num_layers):
-            hidden = model.blocks[i](hidden, cache=caches[i])
-        verify = model.head(hidden).data[0].argmax(axis=-1)  # (k+1,)
-        a = 0
-        while a < k and drafts[a] == int(verify[a]):
-            a += 1
-        emitted = drafts[:a] + [int(verify[a])]
-        for cache in caches:
-            cache.truncate(base + a + 1)
-        return [emitted], np.array([a], dtype=np.int64)
-
-    def _speculative_stacked(self, entries: Sequence, k: int):
-        """Batched draft/verify cycle over pad-stacked caches.
-
-        Key arrays stay in ``[valid prefix | pad | suffix]`` order, so the
-        attention causal mask over array order remains correct; each
-        row's pad slice is removed via ``key_padding_mask`` and its true
-        RoPE positions come from ``positions``.  Only the accepted prefix
-        of new entries is scattered back, so no truncation is needed."""
+    def _speculative(self, entries: Sequence, k: int):
+        """Draft/verify cycle through :meth:`_graph_apply`: one build per
+        draft offset ``j`` (shallow blocks + draft head) and one for the
+        full-depth verify suffix.  Key arrays stay in ``[valid prefix |
+        pad | suffix]`` order, so causality over array order holds."""
         model = self.model
         d = self.draft_exit
         batch = len(entries)
-        lengths0 = np.array(
-            [e.caches[0].length for e in entries], dtype=np.int64
-        )
-        max_len0 = int(lengths0.max())
-        stacked = self._stack_caches(entries, range(self.num_layers), max_len0)
+        num_layers = self.num_layers
+        lengths0 = self._lengths(entries, k + 1)
+        bucket = self._bucket_len(int(lengths0.max()), k + 1)
+        ks, vs = self._stack_caches(entries, bucket)
+        shallow_k, shallow_v = ks[:d], vs[:d]
+        fused = fused_kernels_enabled()
         tokens = np.array([e.last_token for e in entries], dtype=np.int64)
         drafts = np.empty((batch, k), dtype=np.int64)
         taps: List[np.ndarray] = []
         for j in range(k + 1):
-            total = max_len0 + j + 1
-            pad = (np.arange(total)[None, :] >= lengths0[:, None]) & (
-                np.arange(total)[None, :] < max_len0
-            )
-            hidden = model.embed_tokens(tokens[:, None])
-            for i in range(d):
-                hidden = model.blocks[i](
-                    hidden, cache=stacked[i], key_padding_mask=pad,
-                    positions=lengths0 + j,
+            total = bucket + j + 1
+            mask = self._pad_mask(lengths0, bucket, total)[:, None, None, :]
+            cos_t, sin_t = self._rope_slices(lengths0 + j, 1)
+            arrays = [tokens[:, None], mask, cos_t, sin_t] + shallow_k + shallow_v
+            want_logits = j < k
+            key = ("draft", batch, bucket, j, d, want_logits, fused)
+
+            def build(tensors, want_logits=want_logits):
+                ids_t, mask_t, cos_tt, sin_tt = tensors[:4]
+                hidden = model.embed_tokens(ids_t)
+                hidden, new_ks, new_vs = model.run_blocks_decode(
+                    hidden, tensors[4 : 4 + d], tensors[4 + d :],
+                    mask_t, cos_tt, sin_tt, 0, d,
                 )
-            taps.append(hidden.data)
-            if j < k:
-                logits = self.draft_heads.logits_at(d, hidden)
-                tokens = logits.data[:, -1, :].argmax(axis=-1)
+                outputs = [hidden] + new_ks + new_vs
+                if want_logits:
+                    outputs.append(self.draft_heads.logits_at(d, hidden))
+                return outputs
+
+            outs = self._graph_apply(key, arrays, build)
+            taps.append(outs[0])
+            for i in range(d):
+                shallow_k[i] = np.concatenate([shallow_k[i], outs[1 + i]], axis=2)
+                shallow_v[i] = np.concatenate([shallow_v[i], outs[1 + d + i]], axis=2)
+            if want_logits:
+                tokens = outs[1 + 2 * d][:, -1, :].argmax(axis=-1)
                 drafts[:, j] = tokens
-        total = max_len0 + k + 1
-        pad = (np.arange(total)[None, :] >= lengths0[:, None]) & (
-            np.arange(total)[None, :] < max_len0
-        )
-        hidden = Tensor(np.concatenate(taps, axis=1))
-        for i in range(d, self.num_layers):
-            hidden = model.blocks[i](
-                hidden, cache=stacked[i], key_padding_mask=pad,
-                positions=lengths0,
+        total = bucket + k + 1
+        pad = self._pad_mask(lengths0, bucket, total)
+        q_pos = np.arange(bucket, total)[:, None]
+        k_pos = np.arange(total)[None, :]
+        mask = (k_pos > q_pos)[None, None, :, :] | pad[:, None, None, :]
+        cos_t, sin_t = self._rope_slices(lengths0, k + 1)
+        suffix = np.concatenate(taps, axis=1)
+        key = ("verify", batch, bucket, k, d, fused)
+
+        def build_verify(tensors):
+            hid_t, mask_t, cos_tt, sin_tt = tensors[:4]
+            hidden, new_ks, new_vs = model.run_blocks_decode(
+                hid_t, tensors[4 : 4 + num_layers - d], tensors[4 + num_layers - d :],
+                mask_t, cos_tt, sin_tt, d, num_layers,
             )
-        verify = model.head(hidden).data.argmax(axis=-1)  # (batch, k+1)
+            return [model.head(hidden)] + new_ks + new_vs
+
+        outs = self._graph_apply(
+            key, [suffix, mask, cos_t, sin_t] + ks[d:] + vs[d:], build_verify
+        )
+        verify = outs[0].argmax(axis=-1)  # (batch, k+1)
         accepted = np.zeros(batch, dtype=np.int64)
-        outs: List[List[int]] = []
+        result: List[List[int]] = []
         for b in range(batch):
             a = 0
             while a < k and drafts[b, a] == verify[b, a]:
                 a += 1
             accepted[b] = a
-            outs.append([int(t) for t in drafts[b, :a]] + [int(verify[b, a])])
-        for layer in range(self.num_layers):
-            k_new = stacked[layer].k[:, :, max_len0:, :]
-            v_new = stacked[layer].v[:, :, max_len0:, :]
-            for b, entry in enumerate(entries):
-                keep = int(accepted[b]) + 1
-                entry.caches[layer].append(
-                    k_new[b : b + 1, :, :keep, :],
-                    v_new[b : b + 1, :, :keep, :],
-                )
-        return outs, accepted
+            result.append([int(t) for t in drafts[b, :a]] + [int(verify[b, a])])
+        new_ks = [s[:, :, bucket:, :] for s in shallow_k] + outs[1 : 1 + num_layers - d]
+        new_vs = [s[:, :, bucket:, :] for s in shallow_v] + outs[1 + num_layers - d :]
+        self._commit(entries, new_ks, new_vs, accepted + 1)
+        return result, accepted
 
     # ------------------------------------------------------------------
-    # captured decode graphs (capture once per shape bucket, then replay)
+    # the padded-slab path shared by every decode mode
     # ------------------------------------------------------------------
     def _capture_active(self) -> bool:
         if self.graph_capture is not None:
@@ -487,34 +457,33 @@ class GenerationEngine:
         return graph_capture_enabled()
 
     def _graph_apply(self, key, arrays, build) -> List[np.ndarray]:
-        """Replay the graph for ``key`` on ``arrays``, capturing it on
-        first use by tracing ``build`` (a callable from declared-input
-        Tensors to output Tensors).  Falls back to plain tracing when the
-        configuration turned out uncacheable."""
+        """Run ``build`` (declared-input Tensors to output Tensors) on
+        ``arrays``.  With capture on, replay the graph for ``key``,
+        capturing it on first use; with capture off, or when the
+        configuration turned out uncacheable, trace ``build``."""
         cache = self._graphs
-        if cache.known_uncacheable(key):
+        if not self._capture_active() or cache.known_uncacheable(key):
             outs = build([Tensor(a) for a in arrays])
             return [np.asarray(o.data) for o in outs]
         graph = cache.lookup(key)
-        if graph is None:
-            recorder = GraphRecorder()
-            with recorder:
-                tensors = []
-                for a in arrays:
-                    t = Tensor(a)
-                    recorder.add_input(t)
-                    tensors.append(t)
-                outputs = build(tensors)
-            # Structural rewrites (slicing, requantization) swap whole
-            # parameter objects, which per-leaf version checks cannot
-            # see; pin the parameter identity set so such rewrites force
-            # a re-capture instead of a stale replay.
-            snapshot = self._param_ids()
-            recorder.add_guard(lambda: self._param_ids() == snapshot)
-            graph = recorder.finalize(outputs=outputs)
-            cache.store(key, graph)
-            return [np.asarray(o.data) for o in outputs]
-        return graph.replay(arrays)
+        if graph is not None:
+            return graph.replay(arrays)
+        recorder = GraphRecorder()
+        with recorder:
+            tensors = []
+            for a in arrays:
+                t = Tensor(a)
+                recorder.add_input(t)
+                tensors.append(t)
+            outputs = build(tensors)
+        # Structural rewrites (slicing, requantization) swap whole
+        # parameter objects, which per-leaf version checks cannot see;
+        # pin the parameter identity set so such rewrites force a
+        # re-capture instead of a stale replay.
+        snapshot = self._param_ids()
+        recorder.add_guard(lambda: self._param_ids() == snapshot)
+        cache.store(key, recorder.finalize(outputs=outputs))
+        return [np.asarray(o.data) for o in outputs]
 
     def _param_ids(self) -> Tuple[int, ...]:
         ids = [id(p) for p in self.model.parameters()]
@@ -522,14 +491,23 @@ class GenerationEngine:
             ids.extend(id(p) for p in self.draft_heads.parameters())
         return tuple(ids)
 
-    def _bucket_len(self, max_len: int, seq_budget: int) -> int:
-        """Round the batch's max cache length up to the bucket grid (so
-        one captured graph serves many lengths), clamped to what fits
-        under the model's max_len with ``seq_budget`` new positions."""
-        b = self._bucket
-        rounded = max(max_len, int(np.ceil(max_len / b) * b) if max_len else 0)
-        limit = self.model.blocks[0].attn.max_len - seq_budget
-        return max_len if rounded > limit else rounded
+    def _lengths(self, entries, seq: int) -> np.ndarray:
+        """Per-row cache lengths, after checking that ``seq`` new
+        positions fit under the model's max_len."""
+        lengths = np.array([e.caches[0].length for e in entries], dtype=np.int64)
+        limit = self.model.blocks[0].attn.max_len
+        total = int(lengths.max()) + seq
+        if total > limit:
+            raise ValueError(f"sequence length {total} exceeds max_len {limit}")
+        return lengths
+
+    def _bucket_len(self, longest: int, seq: int) -> int:
+        """Slab width: ``longest`` rounded up to the ``DECODE_BUCKET``
+        grid, or ``longest`` itself when the rounded width would leave no
+        room for ``seq`` new positions under the model's max_len."""
+        rounded = -(-longest // DECODE_BUCKET) * DECODE_BUCKET
+        limit = self.model.blocks[0].attn.max_len - seq
+        return longest if rounded > limit else rounded
 
     def _rope_slices(self, positions: np.ndarray, seq: int):
         """Per-row cos/sin tables ``(batch, 1, seq, head_dim // 2)``."""
@@ -547,230 +525,76 @@ class GenerationEngine:
         idx = np.arange(total)[None, :]
         return (idx >= lengths[:, None]) & (idx < bucket)
 
-    def _cache_ids(self, entries) -> Tuple[int, ...]:
-        return tuple(
-            id(e.caches[layer].k)
-            for layer in range(self.num_layers)
-            for e in entries
-        )
-
-    def _decode_slabs(self, entries, lengths, bucket: int):
-        """Padded batch k/v slabs for the graph decode path, reused across
-        steps.  A slab set is valid only while the batch composition, the
-        per-row lengths, and the identity of every authoritative cache
-        array still match what this engine last wrote — any external
-        mutation (eviction, speculative append, direct decode) misses the
-        check and forces a fresh stack."""
-        st = self._slab_state
-        entry_ids = tuple(id(e) for e in entries)
-        if st is not None:
-            if (
-                st["bucket"] == bucket
-                and st["entry_ids"] == entry_ids
-                and np.array_equal(st["lengths"], lengths)
-                and st["cache_ids"] == self._cache_ids(entries)
-            ):
-                return st["ks"], st["vs"]
-            self._slab_state = None
-        stacked = self._stack_caches(entries, range(self.num_layers), bucket)
-        ks = [c.k for c in stacked]
-        vs = [c.v for c in stacked]
-        self._slab_state = {
-            "bucket": bucket,
-            "entry_ids": entry_ids,
-            "lengths": lengths.copy(),
-            "cache_ids": self._cache_ids(entries),
-            "ks": ks,
-            "vs": vs,
-        }
-        return ks, vs
-
-    def _advance_slabs(self, entries, lengths, bucket, ks, vs, new_ks, new_vs):
-        """Write the new token's k/v into the slabs in place and re-arm
-        the validity snapshot for the next step."""
-        if int(lengths.max()) >= bucket:
-            # A row just filled its slab (clamped bucket); next step
-            # needs a wider stack anyway.
-            self._slab_state = None
-            return
-        rows = np.arange(len(entries))
-        for layer in range(self.num_layers):
-            ks[layer][rows, :, lengths, :] = new_ks[layer][:, :, 0, :]
-            vs[layer][rows, :, lengths, :] = new_vs[layer][:, :, 0, :]
-        st = self._slab_state
-        st["lengths"] = lengths + 1
-        st["cache_ids"] = self._cache_ids(entries)
-
-    def _decode_graph(self, entries: Sequence) -> Tuple[np.ndarray, np.ndarray]:
-        """One-token batched decode through a captured graph."""
-        model = self.model
-        batch = len(entries)
-        num_layers = self.num_layers
-        ids = np.array([[e.last_token] for e in entries], dtype=np.int64)
-        lengths = np.array([e.caches[0].length for e in entries], dtype=np.int64)
-        bucket = self._bucket_len(int(lengths.max()), 1)
-        ks, vs = self._decode_slabs(entries, lengths, bucket)
-        # seq == 1 at the last array position: causality is vacuous, only
-        # the bucket-padding tails need masking.
-        mask = self._pad_mask(lengths, bucket, bucket + 1)[:, None, None, :]
-        cos_t, sin_t = self._rope_slices(lengths, 1)
-        arrays = [ids, mask, cos_t, sin_t] + ks + vs
-        key = ("decode", batch, bucket, fused_kernels_enabled())
-
-        def build(tensors):
-            ids_t, mask_t, cos_tt, sin_tt = tensors[:4]
-            t_ks = tensors[4 : 4 + num_layers]
-            t_vs = tensors[4 + num_layers :]
-            hidden = model.embed_tokens(ids_t)
-            hidden, new_ks, new_vs = model.run_blocks_decode(
-                hidden, t_ks, t_vs, mask_t, cos_tt, sin_tt
-            )
-            return [model.head(hidden)] + new_ks + new_vs
-
-        outs = self._graph_apply(key, arrays, build)
-        logits = outs[0]
-        new_ks = outs[1 : 1 + num_layers]
-        new_vs = outs[1 + num_layers :]
-        for layer in range(num_layers):
-            for b, entry in enumerate(entries):
-                entry.caches[layer].append(
-                    new_ks[layer][b : b + 1], new_vs[layer][b : b + 1]
-                )
-        self._advance_slabs(entries, lengths, bucket, ks, vs, new_ks, new_vs)
-        return logits[:, -1, :], np.zeros(batch, dtype=bool)
-
-    def _speculative_graph(self, entries: Sequence, k: int):
-        """Draft/verify cycle through captured graphs: one graph per
-        draft offset ``j`` (shallow blocks + draft head) and one for the
-        full-depth verify suffix.  Token-identical to the traced paths."""
-        model = self.model
-        d = self.draft_exit
-        batch = len(entries)
-        num_layers = self.num_layers
-        lengths0 = np.array(
-            [e.caches[0].length for e in entries], dtype=np.int64
-        )
-        bucket = self._bucket_len(int(lengths0.max()), k + 1)
-        stacked = self._stack_caches(entries, range(num_layers), bucket)
-        shallow_k = [stacked[i].k for i in range(d)]
-        shallow_v = [stacked[i].v for i in range(d)]
-        fused = fused_kernels_enabled()
-        tokens = np.array([e.last_token for e in entries], dtype=np.int64)
-        drafts = np.empty((batch, k), dtype=np.int64)
-        taps: List[np.ndarray] = []
-        for j in range(k + 1):
-            total = bucket + j + 1
-            mask = self._pad_mask(lengths0, bucket, total)[:, None, None, :]
-            cos_t, sin_t = self._rope_slices(lengths0 + j, 1)
-            arrays = [tokens[:, None], mask, cos_t, sin_t] + shallow_k + shallow_v
-            want_logits = j < k
-            key = ("draft", batch, bucket, j, d, want_logits, fused)
-
-            def build(tensors, want_logits=want_logits):
-                ids_t, mask_t, cos_tt, sin_tt = tensors[:4]
-                ks = tensors[4 : 4 + d]
-                vs = tensors[4 + d :]
-                hidden = model.embed_tokens(ids_t)
-                hidden, new_ks, new_vs = model.run_blocks_decode(
-                    hidden, ks, vs, mask_t, cos_tt, sin_tt, 0, d
-                )
-                outputs = [hidden] + new_ks + new_vs
-                if want_logits:
-                    outputs.append(self.draft_heads.logits_at(d, hidden))
-                return outputs
-
-            outs = self._graph_apply(key, arrays, build)
-            taps.append(outs[0])
-            for i in range(d):
-                shallow_k[i] = np.concatenate(
-                    [shallow_k[i], outs[1 + i]], axis=2
-                )
-                shallow_v[i] = np.concatenate(
-                    [shallow_v[i], outs[1 + d + i]], axis=2
-                )
-            if want_logits:
-                tokens = outs[1 + 2 * d][:, -1, :].argmax(axis=-1)
-                drafts[:, j] = tokens
-        total = bucket + k + 1
-        pad = self._pad_mask(lengths0, bucket, total)
-        q_pos = np.arange(bucket, total)[:, None]
-        k_pos = np.arange(total)[None, :]
-        mask = (k_pos > q_pos)[None, None, :, :] | pad[:, None, None, :]
-        cos_t, sin_t = self._rope_slices(lengths0, k + 1)
-        suffix = np.concatenate(taps, axis=1)
-        deep_k = [stacked[i].k for i in range(d, num_layers)]
-        deep_v = [stacked[i].v for i in range(d, num_layers)]
-        key = ("verify", batch, bucket, k, d, fused)
-
-        def build_verify(tensors):
-            hid_t, mask_t, cos_tt, sin_tt = tensors[:4]
-            ks = tensors[4 : 4 + num_layers - d]
-            vs = tensors[4 + num_layers - d :]
-            hidden, new_ks, new_vs = model.run_blocks_decode(
-                hid_t, ks, vs, mask_t, cos_tt, sin_tt, d, num_layers
-            )
-            return [model.head(hidden)] + new_ks + new_vs
-
-        outs = self._graph_apply(
-            key, [suffix, mask, cos_t, sin_t] + deep_k + deep_v, build_verify
-        )
-        verify = outs[0].argmax(axis=-1)  # (batch, k+1)
-        deep_new_k = outs[1 : 1 + num_layers - d]
-        deep_new_v = outs[1 + num_layers - d :]
-        accepted = np.zeros(batch, dtype=np.int64)
-        result: List[List[int]] = []
-        for b in range(batch):
-            a = 0
-            while a < k and drafts[b, a] == verify[b, a]:
-                a += 1
-            accepted[b] = a
-            result.append(
-                [int(t) for t in drafts[b, :a]] + [int(verify[b, a])]
-            )
-        for layer in range(num_layers):
-            if layer < d:
-                k_new = shallow_k[layer][:, :, bucket:, :]
-                v_new = shallow_v[layer][:, :, bucket:, :]
-            else:
-                k_new = deep_new_k[layer - d]
-                v_new = deep_new_v[layer - d]
-            for b, entry in enumerate(entries):
-                keep = int(accepted[b]) + 1
-                entry.caches[layer].append(
-                    k_new[b : b + 1, :, :keep, :],
-                    v_new[b : b + 1, :, :keep, :],
-                )
-        return result, accepted
-
-    def _stack_caches(self, entries, layers, max_len: int) -> List[KVCache]:
-        """Pad-and-stack the per-request caches of ``layers`` into shared
-        batched cache arrays (rows shorter than ``max_len`` are
-        zero-padded; the caller masks the tails via key_padding_mask)."""
+    def _stack_caches(self, entries, width: int):
+        """Per-layer k/v slabs ``(batch, kv_heads, width, head_dim)`` of
+        every entry's cache, zero-padded past each row's length."""
         attn0 = self.model.blocks[0].attn
-        kv_heads, head_dim = attn0.num_kv_heads, attn0.head_dim
-        batch = len(entries)
-        stacked: List[KVCache] = []
-        for layer in layers:
-            cache = KVCache()
-            k = np.zeros((batch, kv_heads, max_len, head_dim), dtype=np.float32)
+        shape = (len(entries), attn0.num_kv_heads, width, attn0.head_dim)
+        ks, vs = [], []
+        for layer in range(self.num_layers):
+            k = np.zeros(shape, dtype=np.float32)
             v = np.zeros_like(k)
             for b, entry in enumerate(entries):
                 src = entry.caches[layer]
                 if src.length:
                     k[b, :, : src.length] = src.k[0]
                     v[b, :, : src.length] = src.v[0]
-            cache.k, cache.v = k, v
-            stacked.append(cache)
-        return stacked
+            ks.append(k)
+            vs.append(v)
+        return ks, vs
+
+    def _slab_key(self, entries, lengths: np.ndarray, bucket: int):
+        """What persistent slabs mirror: the batch composition, the
+        per-row lengths and the identity of every authoritative cache
+        array.  Any mutation the slab path did not make itself (eviction,
+        preemption, a speculative cycle) changes the key."""
+        return (
+            bucket,
+            tuple(id(e) for e in entries),
+            tuple(lengths.tolist()),
+            tuple(id(e.caches[layer].k) for layer in range(self.num_layers)
+                  for e in entries),
+        )
+
+    def _decode_slabs(self, entries, lengths: np.ndarray, bucket: int):
+        """The step's slabs: freshly stacked with capture off; with
+        capture on, the persistent ones while their key still matches."""
+        key = self._slab_key(entries, lengths, bucket) if self._capture_active() else None
+        if self._slabs is not None and self._slabs[0] == key:
+            return self._slabs[1], self._slabs[2]
+        self._slabs = None  # free the stale slabs before stacking new ones
+        ks, vs = self._stack_caches(entries, bucket)
+        if key is not None:
+            self._slabs = (key, ks, vs)
+        return ks, vs
+
+    def _advance_slabs(self, entries, lengths, ks, vs, new_ks, new_vs) -> None:
+        """Write the step's new k/v into the persistent slabs in place and
+        re-arm their key for the next step."""
+        if self._slabs is None:
+            return
+        bucket = ks[0].shape[2]
+        if int(lengths.max()) >= bucket:
+            # A row just filled its slab (clamped bucket); the next step
+            # needs a wider stack anyway.
+            self._slabs = None
+            return
+        rows = np.arange(len(entries))
+        for layer in range(self.num_layers):
+            ks[layer][rows, :, lengths, :] = new_ks[layer][:, :, 0, :]
+            vs[layer][rows, :, lengths, :] = new_vs[layer][:, :, 0, :]
+        self._slabs = (self._slab_key(entries, lengths + 1, bucket), ks, vs)
 
     @staticmethod
-    def _scatter_back(entries, stacked: List[KVCache], max_len: int) -> None:
-        """Append each row's newly written k/v back to its own block."""
-        for layer, cache in enumerate(stacked):
-            k_new = cache.k[:, :, max_len:, :]
-            v_new = cache.v[:, :, max_len:, :]
+    def _commit(entries, new_ks, new_vs, keep: np.ndarray) -> None:
+        """Append row ``b``'s first ``keep[b]`` new k/v positions of every
+        layer to that row's own cache blocks."""
+        for layer, (k_new, v_new) in enumerate(zip(new_ks, new_vs)):
             for b, entry in enumerate(entries):
-                entry.caches[layer].append(k_new[b : b + 1], v_new[b : b + 1])
+                n = int(keep[b])
+                entry.caches[layer].append(
+                    k_new[b : b + 1, :, :n, :], v_new[b : b + 1, :, :n, :]
+                )
 
     # -- voting helpers ------------------------------------------------
     def _exit_logits(self, point: int, hidden: Tensor) -> np.ndarray:

@@ -1,8 +1,8 @@
 """Tests for the generation engine: prefill/decode parity and early exit.
 
-The load-bearing property throughout is the determinism contract: the
-stacked batched decode path must produce exactly the tokens the direct
-(batch-1) path produces, which in turn must match ``model.generate``.
+The load-bearing property throughout is the determinism contract:
+batched decode must produce exactly the tokens batch-1 decode produces,
+which in turn must match ``model.generate``.
 """
 
 import numpy as np
@@ -10,9 +10,12 @@ import pytest
 
 from repro.adaptive import ExitHeadSet, VotingCombiner
 from repro.data import lm_batches
+from repro.nn import TransformerLM
 from repro.nn.attention import KVCache
 from repro.obs import use_registry
 from repro.serve import GenerationEngine, Request, serve_batch
+
+from ..conftest import small_config
 
 PROMPTS = [[1, 2, 3], [7, 1], [4, 4, 9, 2], [30, 0, 5]]
 
@@ -188,3 +191,56 @@ class TestCounters:
                 len(PROMPTS[0]) + len(PROMPTS[1])
             # One token comes from prefill, three from decode steps.
             assert reg.counter("serve/decode_tokens").value == 6
+
+
+class Entry:
+    def __init__(self, engine, prompt):
+        self.caches = engine.model.new_caches()
+        self.last_token = int(engine.prefill(prompt, self.caches).argmax())
+
+
+class TestContextLimit:
+    """A step past ``max_len`` is the same typed error on every path,
+    raised before any cache (or persistent decode slab) is touched."""
+
+    @pytest.fixture
+    def short_model(self, pretrain_corpus):
+        model = TransformerLM(small_config(max_len=16))
+        voting = VotingCombiner(model, ExitHeadSet(model, exit_points=[2, 4]))
+        voting.calibrate(*next(
+            lm_batches(pretrain_corpus, 4, 12, 1, np.random.default_rng(0))
+        ))
+        return model, voting
+
+    @pytest.mark.parametrize("batch", [1, 2])
+    @pytest.mark.parametrize("vote", [False, True])
+    @pytest.mark.parametrize("capture", [False, True])
+    def test_decode_past_max_len_raises(self, short_model, capture, vote, batch):
+        model, voting = short_model
+        engine = GenerationEngine(
+            model, voting=voting if vote else None, graph_capture=capture
+        )
+        entries = [Entry(engine, list(range(15))), Entry(engine, [1, 2, 3])]
+        entries = entries[:batch]
+        engine.decode_step(entries)  # the first row now fills max_len
+        for entry in entries:
+            entry.last_token = 5
+        lengths = [[c.length for c in e.caches] for e in entries]
+        with pytest.raises(ValueError, match="sequence length 17 exceeds max_len 16"):
+            engine.decode_step(entries)
+        assert [[c.length for c in e.caches] for e in entries] == lengths
+        if batch == 2:  # the shorter row still decodes
+            engine.decode_step(entries[1:])
+            assert entries[1].caches[0].length == 5
+
+    @pytest.mark.parametrize("capture", [False, True])
+    def test_speculative_past_max_len_raises(self, short_model, capture):
+        model, _ = short_model
+        engine = GenerationEngine(
+            model, draft_heads=ExitHeadSet(model, exit_points=[3]),
+            draft_exit=3, draft_k=3, graph_capture=capture,
+        )
+        entry = Entry(engine, list(range(16)))
+        with pytest.raises(ValueError, match="sequence length 17 exceeds max_len 16"):
+            engine.speculative_decode_step([entry])
+        assert all(c.length == 16 for c in entry.caches)

@@ -1,15 +1,17 @@
 """Graph capture in the generation engine.
 
-The captured per-bucket decode step (and the speculative draft/verify
-graphs) must be invisible at the token level: greedy outputs with
-capture on equal the direct path's exactly — including across batch
-membership changes, and across structural slicing, where the graphs'
-parameter-identity guards must invalidate every stale capture.
+Capture on (replayed graphs over persistent decode slabs) must be
+invisible next to capture off (slabs re-stacked and traced every step):
+greedy outputs are equal exactly — including across batch membership
+changes, and across structural slicing, where the graphs'
+parameter-identity guards must invalidate every stale capture.  Voting
+decode, which runs on the persistent slabs too, must match bitwise in
+its voted logits and early-exit flags.
 """
 
 import numpy as np
 
-from repro.adaptive import ExitHeadSet
+from repro.adaptive import ExitHeadSet, VotingCombiner
 from repro.data import lm_batches
 from repro.nn import TransformerLM
 from repro.nn.slicing import rotate_and_slice
@@ -20,6 +22,9 @@ from repro.tensor import graph_capture
 from ..conftest import small_config
 
 PROMPTS = [[1, 2, 3, 4], [7, 1, 9], [4, 4, 9, 2, 5], [30, 0]]
+# Early-exit thresholds at which some, not all, decode tokens exit.
+EXIT_THRESHOLD = 0.5
+SLICED_EXIT_THRESHOLD = 0.2
 
 
 class Entry:
@@ -37,10 +42,14 @@ def prefill_entries(engine, prompts=PROMPTS):
     return entries
 
 
-def greedy(engine, entries, n):
+def greedy(engine, entries, n, steps=None):
+    """Greedy-decode ``n`` tokens; ``steps`` (a list) collects each
+    step's ``(logits, early_exited)``."""
     tokens = [[] for _ in entries]
     for _ in range(n):
-        logits, _ = engine.decode_step(entries)
+        logits, early = engine.decode_step(entries)
+        if steps is not None:
+            steps.append((logits.copy(), early.copy()))
         nxt = logits.argmax(axis=-1)
         for b, entry in enumerate(entries):
             entry.last_token = int(nxt[b])
@@ -59,6 +68,21 @@ def calib_ids(corpus, seed=5):
     return ids
 
 
+def voter(model, corpus):
+    """A calibrated voting combiner over exits 2, 4 and the final head."""
+    combiner = VotingCombiner(model, ExitHeadSet(model, exit_points=[2, 4]))
+    combiner.calibrate(*next(lm_batches(corpus, 4, 24, 1, np.random.default_rng(0))))
+    return combiner
+
+
+def assert_steps_bitwise(a, b):
+    assert len(a) == len(b)
+    for (logits_a, early_a), (logits_b, early_b) in zip(a, b):
+        assert logits_a.dtype == logits_b.dtype
+        assert logits_a.tobytes() == logits_b.tobytes()
+        assert early_a.tobytes() == early_b.tobytes()
+
+
 class TestTokenIdentity:
     def test_decode_tokens_identical(self, pretrained_model):
         engine = GenerationEngine(pretrained_model)
@@ -68,19 +92,33 @@ class TestTokenIdentity:
                 results[capture] = greedy(engine, prefill_entries(engine), 10)
         assert results[True] == results[False]
 
-    def test_decode_identical_across_batch_changes(self, pretrained_model):
+    def test_decode_identical_across_batch_changes(
+        self, pretrained_model, pretrain_corpus
+    ):
         """Entries leaving and rejoining the batch (eviction/readmission)
-        invalidate the persistent decode slabs, never the tokens."""
-        engine = GenerationEngine(pretrained_model)
-        results = {}
-        for capture in (False, True):
-            with graph_capture(capture):
-                entries = prefill_entries(engine)
-                tokens = greedy(engine, entries, 3)
-                sub = greedy(engine, entries[:2], 3)  # two rows evicted
-                back = greedy(engine, entries, 3)     # and readmitted
-                results[capture] = (tokens, sub, back)
-        assert results[True] == results[False]
+        invalidate the persistent decode slabs, never the tokens — nor,
+        with voting, the voted logits and early-exit flags."""
+        voting = voter(pretrained_model, pretrain_corpus)
+        for kwargs in (
+            {},
+            {"voting": voting},
+            {"voting": voting, "confidence_threshold": EXIT_THRESHOLD},
+        ):
+            engine = GenerationEngine(pretrained_model, **kwargs)
+            results, steps = {}, {}
+            for capture in (False, True):
+                steps[capture] = []
+                reg = MetricsRegistry()
+                with graph_capture(capture), use_registry(reg):
+                    entries = prefill_entries(engine)
+                    tokens = greedy(engine, entries, 3, steps[capture])
+                    sub = greedy(engine, entries[:2], 3, steps[capture])  # two rows evicted
+                    back = greedy(engine, entries, 3, steps[capture])     # and readmitted
+                    results[capture] = (tokens, sub, back)
+                if "confidence_threshold" in kwargs:
+                    assert reg.counter("serve/early_exit_tokens").value > 0
+            assert results[True] == results[False]
+            assert_steps_bitwise(steps[True], steps[False])
 
     def test_speculative_tokens_identical(self, pretrained_model):
         heads = ExitHeadSet(pretrained_model, exit_points=[3])
@@ -102,20 +140,32 @@ class TestTokenIdentity:
 
 
 class TestSlicing:
-    def scenario(self, pretrained_state, corpus, capture):
-        """Decode, slice the live model, decode again on the same engine."""
+    def scenario(self, pretrained_state, corpus, capture, steps=None):
+        """Decode, slice the live model, decode again on the same engine;
+        then decode with early-exit voting built on the sliced model, so
+        frozen exit states cross the sliced blocks' shortcut rotations."""
         model = clone(pretrained_state)
         engine = GenerationEngine(model)
         with graph_capture(capture):
             before = greedy(engine, prefill_entries(engine), 6)
             rotate_and_slice(model, calib_ids(corpus), 0.5)
             after = greedy(engine, prefill_entries(engine), 6)
-        return before, after
+            voted = GenerationEngine(
+                model, voting=voter(model, corpus),
+                confidence_threshold=SLICED_EXIT_THRESHOLD,
+            )
+            exited = greedy(voted, prefill_entries(voted), 6, steps)
+        return before, after, exited
 
     def test_sliced_tokens_identical(self, pretrained_state, adapt_corpus):
-        captured = self.scenario(pretrained_state, adapt_corpus, True)
-        direct = self.scenario(pretrained_state, adapt_corpus, False)
+        steps = {True: [], False: []}
+        reg = MetricsRegistry()
+        with use_registry(reg):
+            captured = self.scenario(pretrained_state, adapt_corpus, True, steps[True])
+        direct = self.scenario(pretrained_state, adapt_corpus, False, steps[False])
         assert captured == direct
+        assert reg.counter("serve/early_exit_tokens").value > 0
+        assert_steps_bitwise(steps[True], steps[False])
 
     def test_slice_invalidates_cached_graphs(self, pretrained_state, adapt_corpus):
         """Slicing swaps parameter objects; every pre-slice decode graph
