@@ -21,11 +21,16 @@ asserts the whole contract:
 * speculative (draft/verify) decode and structurally sliced
   checkpoints also emit identical tokens with capture on and off —
   slicing swaps parameter objects, which the graphs' identity guards
-  catch and re-capture.
+  catch and re-capture,
+* captured graphs hold only what a replay reads: after decoding over
+  several (batch, bucket) shapes, the engine's graphs hold one step
+  slab no larger than its largest graph's step bytes, and none of the
+  KV slabs they were captured on (``decode_memory_bounded``).
 """
 
 import gc
 import time
+import weakref
 
 import numpy as np
 
@@ -209,6 +214,30 @@ def _paired_decode_run(model):
     return tokens_off, tokens_on, best_off, best_on
 
 
+def _decode_memory(model):
+    """Decode with capture on over several (batch, bucket) shapes, then
+    measure what the engine's graphs hold: their step slab plus every
+    superseded persistent KV slab (a capture-time input) still alive.
+    Returns (held bytes, largest graph's step bytes, per-graph step bytes)."""
+    engine = GenerationEngine(model, graph_capture=True)
+    entries = _prefill_entries(engine)
+    seen = []
+    for rows in (entries, entries, entries[:4], entries[:4], entries):
+        engine.decode_step(rows)  # batch 8 crosses bucket 64 -> 96, then 4
+        if engine._slabs is not None:
+            seen.extend(weakref.ref(a) for a in engine._slabs[1] + engine._slabs[2])
+    current = set() if engine._slabs is None else {
+        id(a) for a in engine._slabs[1] + engine._slabs[2]
+    }
+    gc.collect()
+    retained = sum(
+        a.nbytes for a in (ref() for ref in seen)
+        if a is not None and id(a) not in current
+    )
+    needs = [g.step_bytes for g in engine._graphs.graphs()]
+    return engine._graphs.slab_bytes + retained, max(needs), needs
+
+
 def _speculative_tokens(model, heads, capture: bool, n: int = 24):
     engine = GenerationEngine(
         model, draft_heads=heads, draft_exit=DRAFT_EXIT, draft_k=DRAFT_K
@@ -265,11 +294,9 @@ def test_ext_graph_replay(benchmark):
         _train_run(_trainer(state, True), batches[:6])
     train_captures = reg.counter("tensor/graph/captures").value
     train_replays = reg.counter("tensor/graph/replays").value
-    # The arena is process-global, so read its cumulative totals rather
+    # The arena is process-global, so read its cumulative total rather
     # than registry counters (the slabs were reserved in the timed runs).
-    arena = get_arena()
-    arena_reuse = arena.reuse_hits
-    arena_bytes = arena.bytes_reserved
+    arena_bytes = get_arena().bytes_reserved
 
     # -- serving decode: capture on vs off, token identity ------------
     serve_model = TransformerLM(CFG_SERVE)
@@ -283,6 +310,8 @@ def test_ext_graph_replay(benchmark):
         _decode_run(serve_model, True)
     decode_captures = reg_dec.counter("tensor/graph/captures").value
     decode_replays = reg_dec.counter("tensor/graph/replays").value
+    held, largest, needs = _decode_memory(serve_model)
+    memory_bounded = held <= largest
 
     # -- speculative decode: identical drafts/acceptances -------------
     heads = ExitHeadSet(serve_model, exit_points=[DRAFT_EXIT], seed=0)
@@ -304,6 +333,9 @@ def test_ext_graph_replay(benchmark):
         ["decode tokens identical", int(decode_identical), 1.0],
         ["speculative tokens identical", int(spec_identical), 1.0],
         ["sliced-checkpoint tokens identical", int(sliced_identical), 1.0],
+        ["decode graphs' step memory KB, per-graph sum", sum(needs) / 1024, 1.0],
+        ["decode graphs' step memory KB, held", held / 1024, held / sum(needs)],
+        ["decode memory bounded by largest graph", int(memory_bounded), 1.0],
     ]
     metrics = {
         "train_speedup": train_speedup,
@@ -316,8 +348,12 @@ def test_ext_graph_replay(benchmark):
         "train_replays": train_replays,
         "decode_captures": decode_captures,
         "decode_replays": decode_replays,
-        "arena_reuse_hits": arena_reuse,
         "arena_bytes_reserved": arena_bytes,
+        "decode_graphs": len(needs),
+        "decode_held_kb": held / 1024,
+        "decode_largest_graph_kb": largest / 1024,
+        "decode_graphs_step_kb_sum": sum(needs) / 1024,
+        "decode_memory_bounded": int(memory_bounded),
         "train_step_ms": t_train_on * 1e3,
         "decode_step_ms": t_dec_on * 1e3,
     }
@@ -346,6 +382,10 @@ def test_ext_graph_replay(benchmark):
     assert decode_identical, "captured decode changed greedy tokens"
     assert spec_identical, "captured speculative decode changed tokens"
     assert sliced_identical, "captured decode on a sliced model changed tokens"
+    assert len(needs) >= 3, f"memory run captured only {len(needs)} decode graphs"
+    assert memory_bounded, (
+        f"decode graphs hold {held} bytes > largest graph's {largest}"
+    )
     assert train_captures >= 1 and train_replays > train_captures
     assert decode_captures >= 1 and decode_replays > decode_captures
     assert train_speedup >= 1.25, (

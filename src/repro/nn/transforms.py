@@ -409,33 +409,46 @@ class TransformedLinear(Module):
             or not all(t.folds for t in wts)
             or (is_grad_enabled() and master.requires_grad)
         ):
+            self._guard_capture(None)
             return self.effective_weight()
         key = (id(master), master.version, tuple(t.cache_token() for t in wts))
         if key == self._fold_key and self._fold_weight is not None:
             get_registry().counter("nn/fold/hits").inc()
-            self._guard_fold_capture(key)
-            return self._fold_weight
-        get_registry().counter("nn/fold/misses").inc()
-        with no_grad():
-            self._fold_weight = Tensor(self.effective_weight().data)
-        self._fold_key = key
-        self._guard_fold_capture(key)
+        else:
+            get_registry().counter("nn/fold/misses").inc()
+            with no_grad():
+                self._fold_weight = Tensor(self.effective_weight().data)
+            self._fold_key = key
+        self._guard_capture(self._fold_weight)
         return self._fold_weight
 
-    def _guard_fold_capture(self, key) -> None:
-        """If a graph capture is in flight, pin the fold-cache key.
+    def _pipeline_token(self) -> Tuple:
+        """The master weight's identity plus every transform's cache token."""
+        return (id(self.inner.weight), tuple(t.cache_token() for t in self.transforms))
 
-        The folded weight enters the captured graph as a leaf; when the
-        master weight or any transform token changes, ``_forward_weight``
-        would serve a *new* tensor — which a replay never sees.  The
-        guard makes such graphs fail validation and re-capture instead
-        of replaying the stale fold."""
+    def _guard_capture(self, folded: Optional[Tensor]) -> None:
+        """If a graph capture is in flight, pin what this forward baked in.
+
+        A replay re-reads leaf arrays but never re-runs this method, so
+        the graph must fail validation once the pipeline or any
+        transform's state changes (``set_mask``, a new quant spec): the
+        unfolded path's transform constants are leaves of the capture.
+        With ``folded`` (the folded weight entered the capture as a
+        leaf), the graph must also fail once the master weight moves or
+        the fold cache is dropped, or a replay would serve the stale
+        fold."""
         recorder = _active_recorder()
         if recorder is None:
             return
-        module = self
+        token = self._pipeline_token()
+        if folded is None:
+            recorder.add_guard(lambda: self._pipeline_token() == token)
+            return
+        version = self.inner.weight.version
         recorder.add_guard(
-            lambda: module._fold_key == key and module._fold_weight is not None
+            lambda: self._fold_weight is folded
+            and self.inner.weight.version == version
+            and self._pipeline_token() == token
         )
 
     # -- convenience views ---------------------------------------------

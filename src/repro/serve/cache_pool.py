@@ -38,6 +38,7 @@ Pool state is visible through ``repro.obs``:
 from __future__ import annotations
 
 import dataclasses
+import weakref
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -54,11 +55,15 @@ class _TrieNode:
     Segments are non-overlapping — the prefix's full arrays are the
     concatenation of the spans along the root path, memoized per node in
     ``full_k``/``full_v`` (immutable, so lessees share the memo).
+
+    A node holds its parent weakly (parents own their children), so a
+    dropped trie or an evicted subtree is freed by refcount alone, not
+    whenever the cyclic collector next runs.
     """
 
     __slots__ = (
-        "tokens", "k", "v", "children", "parent", "refcount", "stamp",
-        "full_k", "full_v",
+        "tokens", "k", "v", "children", "_parent", "refcount", "stamp",
+        "full_k", "full_v", "__weakref__",
     )
 
     def __init__(self, tokens: Tuple[int, ...], k: List[np.ndarray],
@@ -72,6 +77,14 @@ class _TrieNode:
         self.stamp = 0
         self.full_k: Optional[List[np.ndarray]] = None
         self.full_v: Optional[List[np.ndarray]] = None
+
+    @property
+    def parent(self) -> Optional["_TrieNode"]:
+        return None if self._parent is None else self._parent()
+
+    @parent.setter
+    def parent(self, node: Optional["_TrieNode"]) -> None:
+        self._parent = None if node is None else weakref.ref(node)
 
     @property
     def span(self) -> int:

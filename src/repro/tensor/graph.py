@@ -37,25 +37,36 @@ ride along in the same check.
 
 Replay
 ------
-``Graph.replay`` walks the recorded steps over a flat value table,
-optionally serving step outputs from the arena allocator
-(:mod:`repro.tensor.arena`), then optionally runs the recorded backward
-program — a mirror of ``Tensor.backward``'s DFS order with identical
-accumulation semantics, so replayed gradients are bitwise equal to traced
-ones.  Legacy closure nodes (checkpointing, STE) mark a capture
-uncacheable: such graphs are never stored.
+``Graph.replay`` walks the recorded steps over a flat value table, then
+optionally runs the recorded backward program — a mirror of
+``Tensor.backward``'s DFS order with identical accumulation semantics, so
+replayed gradients are bitwise equal to traced ones.  Legacy closure
+nodes (checkpointing, STE) mark a capture uncacheable: such graphs are
+never stored.
+
+Memory
+------
+A graph holds only what a replay reads.  With the arena on, step outputs
+are views into the step slab of the graph's :class:`GraphCache` (see
+:mod:`repro.tensor.arena`): one buffer per cache, sized to its largest
+graph, so a cache of many graphs costs one graph's step memory.  Outputs
+that live in the slab are copied out before a replay returns.  Input
+leaves are held weakly: every replay supplies fresh arrays, so the
+capture-time inputs die with their last outside reference, and they are
+validated only while something else keeps them alive.
 """
 
 from __future__ import annotations
 
 import contextlib
 import contextvars
+import weakref
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..obs import get_registry
-from .arena import arena_enabled, get_arena
+from .arena import SlabLayout, StepSlab, arena_enabled
 from .tensor import (
     _RECLAIMED,
     Op,
@@ -123,18 +134,41 @@ class _Step:
 
 
 class _Leaf:
-    """A non-step slot: a live tensor read fresh at every replay."""
+    """A non-step slot: a live tensor read fresh at every replay.
 
-    __slots__ = ("slot", "tensor", "version", "requires_grad", "mutable", "shape", "dtype")
+    A graph holds its input leaves' tensors weakly (``ref``), since each
+    replay supplies those slots' arrays itself."""
+
+    __slots__ = (
+        "slot", "tensor", "ref", "version", "requires_grad", "mutable",
+        "shape", "dtype",
+    )
 
     def __init__(self, slot, tensor, mutable):
         self.slot = slot
         self.tensor = tensor
+        self.ref = None
         self.version = tensor._version
         self.requires_grad = tensor.requires_grad
         self.mutable = mutable
         self.shape = tensor._data.shape
         self.dtype = tensor._data.dtype
+
+    def weaken(self) -> None:
+        """Hold the tensor weakly from now on."""
+        self.ref = weakref.ref(self.tensor)
+        self.tensor = None
+
+    def matches(self, t: Tensor) -> bool:
+        """Whether ``t`` still looks as it did at capture time."""
+        d = t._data
+        return not (
+            d is _RECLAIMED
+            or t.requires_grad != self.requires_grad
+            or d.shape != self.shape
+            or d.dtype != self.dtype
+            or (not self.mutable and t._version != self.version)
+        )
 
 
 class GraphRecorder:
@@ -347,45 +381,42 @@ class Graph:
     ):
         self.nslots = nslots
         self.steps = list(steps)
-        self.leaves = list(leaves)
+        inputs = set(input_slots)
+        # Leaves read at every replay (parameters, buffers, constants) ...
+        self.leaves = [lf for lf in leaves if lf.slot not in inputs]
+        # ... and input leaves, held weakly: replays supply these slots.
+        self._input_leaves = [lf for lf in leaves if lf.slot in inputs]
+        for lf in self._input_leaves:
+            lf.weaken()
         self.input_slots = input_slots
         self.output_slots = output_slots
         self.loss_slot = loss_slot
         self.bwd = bwd
         self.cacheable = cacheable
         self.guards = guards
-        self._leaf_by_slot = {lf.slot: lf.tensor for lf in leaves}
+        self._leaf_by_slot = {lf.slot: lf.tensor for lf in self.leaves}
         self._vals: List[Optional[np.ndarray]] = [None] * nslots
         self._ctxs: List = [None] * len(self.steps)
-        # Per-step arena eligibility: the op must accept ``out=`` and its
-        # recorded output dtype must equal the natural promotion of its
-        # input dtypes (otherwise the trace applied a cast we must mirror
-        # by letting the op allocate).
-        self._buffer_ok: Optional[List[bool]] = None
         # Flat execution plan built on first replay: one tuple per step,
         # so the hot loop does no attribute lookups.
         self._plan = None
-        # Arena buffers pinned to the graph on its first arena replay:
-        # shapes are fixed per graph, so steady-state replays do zero
-        # allocator traffic.  ``release()`` returns them to the pool.
-        self._bufs: Optional[List[Optional[np.ndarray]]] = None
-        self._buf_ids: Optional[set] = None
+        # Where step outputs live in a slab; laid out on first replay.
+        self._layout: Optional[SlabLayout] = None
+        # The owning cache's slab, or a private one made on first replay.
+        self._slab: Optional[StepSlab] = None
 
     # -- validation ---------------------------------------------------------
     def validate(self) -> bool:
-        """True iff every leaf (and guard) still matches capture time."""
+        """True iff every leaf (and guard) still matches capture time.
+
+        Input leaves are checked only while something else keeps their
+        capture-time tensor alive."""
         for lf in self.leaves:
-            t = lf.tensor
-            d = t._data
-            if d is _RECLAIMED:
+            if not lf.matches(lf.tensor):
                 return False
-            if (
-                t.requires_grad != lf.requires_grad
-                or d.shape != lf.shape
-                or d.dtype != lf.dtype
-            ):
-                return False
-            if not lf.mutable and t._version != lf.version:
+        for lf in self._input_leaves:
+            t = lf.ref()
+            if t is not None and not lf.matches(t):
                 return False
         for guard in self.guards:
             if not guard():
@@ -393,41 +424,53 @@ class Graph:
         return True
 
     # -- replay -------------------------------------------------------------
-    def _compute_buffer_ok(self) -> List[bool]:
+    def _buffer_ok(self) -> List[bool]:
+        """Per-step slab eligibility: the op must accept ``out=`` and its
+        recorded output dtype must equal the natural promotion of its
+        input dtypes (otherwise the trace applied a cast we must mirror
+        by letting the op allocate)."""
+        dtypes = {lf.slot: lf.dtype for lf in self.leaves + self._input_leaves}
+        for step in self.steps:
+            dtypes[step.out] = step.out_dtype
         ok = []
         for step in self.steps:
             if not step.op.supports_out:
                 ok.append(False)
                 continue
-            in_dtypes = []
-            for ps in step.parents:
-                lf_t = self._leaf_by_slot.get(ps)
-                if lf_t is not None:
-                    in_dtypes.append(lf_t._data.dtype)
-                else:
-                    in_dtypes.append(self._step_dtype(ps))
             try:
-                natural = np.result_type(*in_dtypes)
+                natural = np.result_type(*[dtypes[ps] for ps in step.parents])
             except TypeError:
                 ok.append(False)
                 continue
             ok.append(natural == step.out_dtype)
         return ok
 
-    def _step_dtype(self, slot: int):
-        for step in self.steps:
-            if step.out == slot:
-                return step.out_dtype
-        raise KeyError(slot)
-
     def _build_plan(self):
-        if self._buffer_ok is None:
-            self._buffer_ok = self._compute_buffer_ok()
         return [
-            (step.op.forward, step.parents, step.attrs, step.out,
-             step.out_shape, step.out_dtype, ok)
-            for step, ok in zip(self.steps, self._buffer_ok)
+            (step.op.forward, step.parents, step.attrs, step.out, step.out_dtype)
+            for step in self.steps
         ]
+
+    @property
+    def step_bytes(self) -> int:
+        """Slab bytes this graph's step outputs need."""
+        return self._slab_layout().nbytes
+
+    def _slab_layout(self) -> SlabLayout:
+        if self._layout is None:
+            self._layout = SlabLayout([
+                (step.out_shape, step.out_dtype) if ok else None
+                for step, ok in zip(self.steps, self._buffer_ok())
+            ])
+        return self._layout
+
+    def bind(self, slab: Optional[StepSlab]) -> None:
+        """Serve step outputs from ``slab``, dropping the views held in
+        the previous one; None (a cache dropped the graph) means a
+        private slab on the next replay."""
+        if self._slab is not None:
+            self._slab.drop(self)
+        self._slab = slab
 
     def replay(
         self,
@@ -440,8 +483,8 @@ class Graph:
         dtype.  Leaf values are read fresh from their live tensors.  With
         ``run_backward=True`` the recorded backward program runs and
         accumulates into the live leaf tensors' ``.grad`` exactly as the
-        traced tape would.  Returns the output arrays (copied out of arena
-        buffers when the arena is active).
+        traced tape would.  Returns the output arrays (copied out of the
+        slab when the arena is active).
         """
         if len(inputs) != len(self.input_slots):
             raise ValueError(
@@ -465,16 +508,11 @@ class Graph:
             # dtype is deterministic: casting to the recorded out_dtype
             # reproduces the trace-time downcast rule exactly.
             if use_arena:
-                bufs = self._bufs
-                if bufs is None:
-                    take = get_arena().take
-                    bufs = self._bufs = [
-                        take(oshape, odtype) if buf_ok else None
-                        for (_f, _p, _a, _o, oshape, odtype, buf_ok) in plan
-                    ]
-                    self._buf_ids = {id(b) for b in bufs if b is not None}
-                for k, (fwd, parents, attrs, out_slot, _oshape, odtype,
-                        _buf_ok) in enumerate(plan):
+                layout = self._slab_layout()
+                if self._slab is None:
+                    self._slab = StepSlab()
+                bufs = self._slab.views(self, layout)
+                for k, (fwd, parents, attrs, out_slot, odtype) in enumerate(plan):
                     ins = tuple([vals[s] for s in parents])
                     buf = bufs[k]
                     if buf is not None:
@@ -489,8 +527,7 @@ class Graph:
                         arr = arr.astype(odtype)
                     vals[out_slot] = arr
             else:
-                for k, (fwd, parents, attrs, out_slot, _oshape, odtype,
-                        _buf_ok) in enumerate(plan):
+                for k, (fwd, parents, attrs, out_slot, odtype) in enumerate(plan):
                     out_data, ctxs[k] = fwd(
                         tuple([vals[s] for s in parents]), attrs
                     )
@@ -499,14 +536,10 @@ class Graph:
                         arr = arr.astype(odtype)
                     vals[out_slot] = arr
             outs = [vals[s] for s in self.output_slots]
-            if use_arena and self._buf_ids:
-                # Pinned buffers are overwritten by the next replay; hand
-                # the caller stable copies (views of buffers included).
-                buf_ids = self._buf_ids
-                outs = [
-                    o.copy() if (o.base is not None or id(o) in buf_ids) else o
-                    for o in outs
-                ]
+            if use_arena and layout.nbytes:
+                # The slab is overwritten by the cache's next replay; hand
+                # the caller stable copies (any view may alias it).
+                outs = [o.copy() if o.base is not None else o for o in outs]
             if run_backward and self.bwd:
                 self._run_backward(vals, ctxs)
             return outs
@@ -515,21 +548,6 @@ class Graph:
                 ctxs[k] = None
             for n in range(self.nslots):
                 vals[n] = None
-
-    def release(self) -> None:
-        """Return pinned arena buffers to the pool.
-
-        Called when a cache drops the graph (invalidation or overwrite) so
-        the re-captured graph's first replay reuses the same slabs.  Safe
-        to call more than once.
-        """
-        bufs, self._bufs = self._bufs, None
-        self._buf_ids = None
-        if bufs:
-            arena = get_arena()
-            for buf in bufs:
-                if buf is not None:
-                    arena.give(buf)
 
     def _run_backward(self, vals, ctxs) -> None:
         root = self.loss_slot
@@ -580,11 +598,24 @@ class GraphCache:
     batch-shape buckets).  A lookup whose graph fails validation — a
     strict leaf's ``version`` moved, a shape changed, a guard tripped —
     drops the graph and counts an invalidation, forcing re-capture.
+
+    The cache owns one step slab shared by all its graphs (they replay
+    one at a time), sized to the largest graph that has replayed.
     """
 
     def __init__(self):
         self._graphs: Dict = {}
         self._uncacheable = set()
+        self._slab = StepSlab()
+
+    @property
+    def slab_bytes(self) -> int:
+        """Bytes of the step slab this cache's graphs replay into."""
+        return self._slab.nbytes
+
+    def graphs(self) -> List[Graph]:
+        """The stored graphs."""
+        return list(self._graphs.values())
 
     def lookup(self, key) -> Optional[Graph]:
         graph = self._graphs.get(key)
@@ -592,7 +623,7 @@ class GraphCache:
             return None
         if not graph.validate():
             del self._graphs[key]
-            graph.release()
+            graph.bind(None)
             get_registry().counter("tensor/graph/invalidations").inc()
             return None
         return graph
@@ -605,7 +636,8 @@ class GraphCache:
             return False
         old = self._graphs.get(key)
         if old is not None and old is not graph:
-            old.release()
+            old.bind(None)
+        graph.bind(self._slab)
         self._graphs[key] = graph
         get_registry().counter("tensor/graph/captures").inc()
         return True
@@ -615,9 +647,10 @@ class GraphCache:
 
     def clear(self) -> None:
         for graph in self._graphs.values():
-            graph.release()
+            graph.bind(None)
         self._graphs.clear()
         self._uncacheable.clear()
+        self._slab.clear()
 
     def __len__(self) -> int:
         return len(self._graphs)

@@ -14,8 +14,8 @@ Because ops are explicit objects (not closures), the tape is inspectable:
 :mod:`repro.tensor.graph` hooks :func:`apply_op` through a recorder to
 capture whole forward+backward programs and replay them without re-tracing,
 :mod:`repro.tensor.fusion` pattern-matches op chains, and
-:mod:`repro.tensor.arena` feeds reusable output buffers to ops that support
-``out=``.  A legacy closure node path (:meth:`Tensor._make`) remains for
+:mod:`repro.tensor.arena` lays replayed step outputs into slab views for
+ops that support ``out=``.  A legacy closure node path (:meth:`Tensor._make`) remains for
 ops whose backward re-enters the interpreter (gradient checkpointing,
 straight-through estimators); such nodes mark captured graphs uncacheable.
 
@@ -135,7 +135,8 @@ class Op:
     * ``elementwise`` — pure elementwise map; a candidate for chain fusion
       (see :mod:`repro.tensor.fusion`).
     * ``supports_out`` — ``forward`` can write into a caller-provided
-      buffer (the arena allocator's hook) with bit-identical results.
+      buffer (a step-slab view; see :mod:`repro.tensor.arena`) with
+      bit-identical results.
     * ``cacheable`` — safe to replay from a captured graph (False for
       RNG-dependent ops like dropout).
     """
@@ -223,6 +224,7 @@ class Tensor:
         "_ctx",
         "name",
         "_version",
+        "__weakref__",
     )
 
     def __init__(

@@ -6,8 +6,12 @@ greedy outputs are equal exactly — including across batch membership
 changes, and across structural slicing, where the graphs'
 parameter-identity guards must invalidate every stale capture.  Voting
 decode, which runs on the persistent slabs too, must match bitwise in
-its voted logits and early-exit flags.
+its voted logits and early-exit flags.  However many shapes it has
+captured, the engine's graphs hold one step slab, sized to the largest
+graph, and none of the KV slabs they were captured on.
 """
+
+import weakref
 
 import numpy as np
 
@@ -175,3 +179,22 @@ class TestSlicing:
             self.scenario(pretrained_state, adapt_corpus, True)
         assert reg.counter("tensor/graph/invalidations").value >= 1
         assert reg.counter("tensor/graph/captures").value >= 2
+
+
+class TestMemory:
+    def test_graphs_hold_one_slab_and_no_capture_inputs(self):
+        engine = GenerationEngine(
+            TransformerLM(small_config(max_len=128)), graph_capture=True
+        )
+        prompts = [list(range(1, 29)), list(range(3, 27)), [5] * 20, [9] * 30]
+        entries = prefill_entries(engine, prompts)
+        greedy(engine, entries, 1)  # batch 4, bucket 32: captured here
+        capture_input = weakref.ref(engine._slabs[1][0])
+        greedy(engine, entries[:2], 2)  # batch 2
+        greedy(engine, entries, 4)  # batch 4 again, crossing into bucket 64
+        cache = engine._graphs
+        needs = [g.step_bytes for g in cache.graphs()]
+        assert len(needs) >= 3
+        assert cache.slab_bytes == max(needs)
+        assert sum(needs) > cache.slab_bytes
+        assert capture_input() is None

@@ -14,6 +14,9 @@ The trie is exercised two ways:
   merged or evicted along the way.
 """
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -375,3 +378,47 @@ class TestPoolSharingFuzz:
             pool.allocate("b", 20)
             assert pool.trie.resident_tokens() == 0
             pool.release("b")
+
+
+class TestTrieMemory:
+    """Nodes hold their parents weakly: trie KV arrays are freed by
+    refcount alone, never left waiting for the cyclic collector."""
+
+    def fill_pool(self):
+        pool = CachePool(LAYERS, 1_000, share_prefixes=True)
+        # The second prompt leases the first's head, splitting its node.
+        for rid, prompt in (("a", [1, 2, 3, 4, 5, 6]), ("b", [1, 2, 3, 9, 9])):
+            block, cached = pool.allocate_shared(rid, prompt, len(prompt) + 2)
+            ks, vs = stamped_kv(prompt)
+            for layer, cache in enumerate(block):
+                cache.append(ks[layer][:, :, cached:], vs[layer][:, :, cached:])
+            pool.commit_prefix(rid, prompt)
+            pool.release(rid)
+        assert pool.trie.node_count() == 3
+        return pool
+
+    def kv_refs(self, nodes):
+        return [weakref.ref(a) for node in nodes for a in node.k + node.v]
+
+    def test_dropped_pool_frees_trie_kv(self):
+        gc.collect()
+        gc.disable()
+        try:
+            pool = self.fill_pool()
+            refs = self.kv_refs(pool.trie._iter_nodes())
+            del pool
+            assert all(r() is None for r in refs)
+        finally:
+            gc.enable()
+
+    def test_evicted_nodes_free_their_kv(self):
+        gc.collect()
+        gc.disable()
+        try:
+            pool = self.fill_pool()
+            refs = self.kv_refs(pool.trie._iter_nodes())
+            assert pool.trie.evict(1_000) == 8
+            assert pool.trie.node_count() == 0
+            assert all(r() is None for r in refs)
+        finally:
+            gc.enable()

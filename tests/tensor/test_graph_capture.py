@@ -3,11 +3,13 @@
 Replay is an optimization, never an approximation: replayed values and
 gradients must be bitwise equal to a fresh trace, version bumps must
 invalidate exactly the graphs whose leaves changed (stale replay is
-impossible), and the arena/capture/grad/fusion toggles are contextvars —
-scoped per thread, never leaking across.
+impossible), a cache's graphs share one step slab sized to its largest
+graph and retain no capture-time inputs, and the arena/capture/grad/fusion
+toggles are contextvars — scoped per thread, never leaking across.
 """
 
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -23,7 +25,6 @@ from repro.tensor import (
     dropout,
     fused_kernels,
     fused_kernels_enabled,
-    get_arena,
     graph_capture,
     graph_capture_enabled,
     is_grad_enabled,
@@ -191,33 +192,92 @@ class TestArena:
             (without,) = graph.replay([x2])
         np.testing.assert_array_equal(with_arena, without)
 
-    def test_replays_pin_buffers_and_release_refills_the_pool(self):
+    def test_steady_state_replays_reserve_nothing(self):
         x, w, b = randt((8, 16), 0), randt((16, 16), 1), randt((16,), 2)
-        graph = _capture(x, w, b, with_loss=False)
+        cache = GraphCache()
+        cache.store("k", _capture(x, w, b, with_loss=False))
+        graph = cache.lookup("k")
         x2 = np.random.default_rng(8).standard_normal((8, 16)).astype(np.float32)
         with arena_scope(True):
-            graph.replay([x2])  # first replay takes + pins its buffers
-            reg = MetricsRegistry()
-            with use_registry(reg):
+            first = MetricsRegistry()
+            with use_registry(first):
+                graph.replay([x2])  # lays out and reserves the slab
+            steady = MetricsRegistry()
+            with use_registry(steady):
                 graph.replay([x2])
-            # Steady-state replays do zero allocator traffic.
-            assert reg.counter("tensor/arena/reuse_hits").value == 0
-            assert reg.counter("tensor/arena/bytes_reserved").value == 0
-            # Releasing the graph refills the pool: an identical fresh
-            # graph's first replay is served from the free lists.
-            graph.release()
-            fresh = _capture(x, w, b, with_loss=False)
-            reg2 = MetricsRegistry()
-            with use_registry(reg2):
-                fresh.replay([x2])
-            assert reg2.counter("tensor/arena/reuse_hits").value > 0
+                graph.replay([x2])
+        reserved = first.counter("tensor/arena/bytes_reserved").value
+        assert reserved == graph.step_bytes == cache.slab_bytes > 0
+        assert steady.counter("tensor/arena/bytes_reserved").value == 0
 
-    def test_arena_never_pools_views(self):
-        arena = get_arena()
-        base = np.zeros((4, 4), dtype=np.float32)
-        before = sum(len(v) for v in arena._free.values())
-        arena.give(base[1:])
-        assert sum(len(v) for v in arena._free.values()) == before
+    def test_cache_reserves_its_largest_graph_not_the_sum(self):
+        w, b = randt((16, 16), 1), randt((16,), 2)
+        cache = GraphCache()
+        for rows in (2, 16, 4):
+            cache.store(rows, _capture(randt((rows, 16), rows), w, b, with_loss=False))
+        needs = {rows: cache.lookup(rows).step_bytes for rows in (2, 4, 16)}
+        reg = MetricsRegistry()
+        with arena_scope(True), use_registry(reg):
+            for rows in (16, 2, 4, 2, 16):
+                x2 = np.ones((rows, 16), dtype=np.float32)
+                cache.lookup(rows).replay([x2])
+        largest = max(needs.values())
+        assert sum(needs.values()) > largest
+        assert reg.counter("tensor/arena/bytes_reserved").value == largest
+        assert cache.slab_bytes == largest
+
+    def test_growth_frees_the_old_slab(self):
+        w, b = randt((16, 16), 1), randt((16,), 2)
+        cache = GraphCache()
+        cache.store("small", _capture(randt((2, 16), 3), w, b, with_loss=False))
+        cache.store("large", _capture(randt((16, 16), 4), w, b, with_loss=False))
+        with arena_scope(True):
+            cache.lookup("small").replay([np.ones((2, 16), dtype=np.float32)])
+            old = weakref.ref(cache._slab._buf.base)
+            cache.lookup("large").replay([np.ones((16, 16), dtype=np.float32)])
+        assert old() is None
+        assert cache.slab_bytes == cache.lookup("large").step_bytes
+
+    def test_outputs_never_alias_the_slab(self):
+        x, w, b = randt((4, 6), 0), randt((6, 6), 1), randt((6,), 2)
+        with GraphRecorder() as rec:
+            rec.add_input(x)
+            y = _forward(x, w, b)
+            graph = rec.finalize([y, y.transpose(), y.sum()])
+        other = _capture(randt((4, 6), 3), w, b, with_loss=False)
+        cache = GraphCache()
+        cache.store("a", graph)
+        cache.store("b", other)
+        x2 = np.random.default_rng(8).standard_normal((4, 6)).astype(np.float32)
+        with arena_scope(True):
+            outs = graph.replay([x2])
+            kept = [o.copy() for o in outs]
+            other.replay([np.ones((4, 6), dtype=np.float32)])  # rewrites the slab
+        slab = cache._slab._buf
+        for out, want in zip(outs, kept):
+            assert not np.shares_memory(out, slab)
+            np.testing.assert_array_equal(out, want)
+
+    def test_graph_outside_a_cache_uses_a_private_slab(self):
+        x, w, b = randt((4, 6), 0), randt((6, 6), 1), randt((6,), 2)
+        graph = _capture(x, w, b, with_loss=False)
+        reg = MetricsRegistry()
+        with arena_scope(True), use_registry(reg):
+            graph.replay([np.ones((4, 6), dtype=np.float32)])
+        assert reg.counter("tensor/arena/bytes_reserved").value == graph.step_bytes > 0
+
+    def test_capture_inputs_are_not_retained(self):
+        x, w, b = randt((4, 6), 0), randt((6, 6), 1), randt((6,), 2)
+        cache = GraphCache()
+        cache.store("k", _capture(x, w, b))
+        x_ref, data_ref = weakref.ref(x), weakref.ref(x.data)
+        del x
+        assert x_ref() is None and data_ref() is None
+        graph = cache.lookup("k")
+        assert graph is not None  # a dead input cannot go stale
+        x2 = np.random.default_rng(9).standard_normal((4, 6)).astype(np.float32)
+        (replayed,) = graph.replay([x2], run_backward=True)
+        np.testing.assert_array_equal(replayed, _forward(Tensor(x2), w, b).data)
 
 
 class TestContextvarIsolation:
