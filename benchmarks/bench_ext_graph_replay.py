@@ -82,7 +82,7 @@ class _Entry:
 # train-step workload
 
 
-def _trainer(state, capture: bool) -> AdaptiveLayerTrainer:
+def _trainer(state) -> AdaptiveLayerTrainer:
     model = TransformerLM(CFG_TRAIN)
     model.load_state_dict(state)
     config = AdaptiveTuningConfig(
@@ -90,8 +90,6 @@ def _trainer(state, capture: bool) -> AdaptiveLayerTrainer:
         exit_points=[model.num_layers],
         schedule="round_robin",
         lr=1e-3,
-        optimizer_scope="window",
-        graph_capture=capture,
     )
     return AdaptiveLayerTrainer(model, config)
 
@@ -120,15 +118,17 @@ def _paired_train_run(state, batches):
     losses_off = losses_on = None
     best_off = best_on = float("inf")
     for _ in range(REPEATS):
-        off = _trainer(state, False)
-        on = _trainer(state, True)
+        off = _trainer(state)
+        on = _trainer(state)
         gc.collect()
         run_off, run_on, t_off, t_on = [], [], [], []
         for inputs, targets in batches:
-            stats = off.train_step(inputs, targets)
+            with graph_capture(False):
+                stats = off.train_step(inputs, targets)
             run_off.append(stats.loss)
             t_off.append(stats.wall_time_s)
-            stats = on.train_step(inputs, targets)
+            with graph_capture(True):
+                stats = on.train_step(inputs, targets)
             run_on.append(stats.loss)
             t_on.append(stats.wall_time_s)
         assert losses_off is None or run_off == losses_off
@@ -158,14 +158,15 @@ def _prefill_entries(engine, batch=DECODE_BATCH, prompt_len=PROMPT_LEN):
 def _decode_run(model, capture: bool):
     """Greedy-decode WARM+TIMED steps; returns (tokens, median step s)."""
     gc.collect()
-    engine = GenerationEngine(model, graph_capture=capture)
+    engine = GenerationEngine(model)
     entries = _prefill_entries(engine)
     tokens = [[] for _ in entries]
     times = []
     for step in range(WARM_STEPS + TIMED_STEPS):
-        start = time.perf_counter()
-        logits, _ = engine.decode_step(entries)
-        elapsed = time.perf_counter() - start
+        with graph_capture(capture):
+            start = time.perf_counter()
+            logits, _ = engine.decode_step(entries)
+            elapsed = time.perf_counter() - start
         if step >= WARM_STEPS:
             times.append(elapsed)
         nxt = logits.argmax(axis=-1)
@@ -181,10 +182,11 @@ def _paired_decode_run(model):
     tokens_off = tokens_on = None
     best_off = best_on = float("inf")
 
-    def _advance(engine, entries, tokens):
-        start = time.perf_counter()
-        logits, _ = engine.decode_step(entries)
-        elapsed = time.perf_counter() - start
+    def _advance(engine, entries, tokens, capture):
+        with graph_capture(capture):
+            start = time.perf_counter()
+            logits, _ = engine.decode_step(entries)
+            elapsed = time.perf_counter() - start
         nxt = logits.argmax(axis=-1)
         for b, entry in enumerate(entries):
             entry.last_token = int(nxt[b])
@@ -193,16 +195,16 @@ def _paired_decode_run(model):
 
     for _ in range(REPEATS):
         gc.collect()
-        eng_off = GenerationEngine(model, graph_capture=False)
-        eng_on = GenerationEngine(model, graph_capture=True)
+        eng_off = GenerationEngine(model)
+        eng_on = GenerationEngine(model)
         entries_off = _prefill_entries(eng_off)
         entries_on = _prefill_entries(eng_on)
         run_off = [[] for _ in entries_off]
         run_on = [[] for _ in entries_on]
         t_off, t_on = [], []
         for step in range(WARM_STEPS + TIMED_STEPS):
-            elapsed_off = _advance(eng_off, entries_off, run_off)
-            elapsed_on = _advance(eng_on, entries_on, run_on)
+            elapsed_off = _advance(eng_off, entries_off, run_off, False)
+            elapsed_on = _advance(eng_on, entries_on, run_on, True)
             if step >= WARM_STEPS:
                 t_off.append(elapsed_off)
                 t_on.append(elapsed_on)
@@ -219,11 +221,12 @@ def _decode_memory(model):
     measure what the engine's graphs hold: their step slab plus every
     superseded persistent KV slab (a capture-time input) still alive.
     Returns (held bytes, largest graph's step bytes, per-graph step bytes)."""
-    engine = GenerationEngine(model, graph_capture=True)
+    engine = GenerationEngine(model)
     entries = _prefill_entries(engine)
     seen = []
     for rows in (entries, entries, entries[:4], entries[:4], entries):
-        engine.decode_step(rows)  # batch 8 crosses bucket 64 -> 96, then 4
+        with graph_capture(True):
+            engine.decode_step(rows)  # batch 8 crosses bucket 64 -> 96, then 4
         if engine._slabs is not None:
             seen.extend(weakref.ref(a) for a in engine._slabs[1] + engine._slabs[2])
     current = set() if engine._slabs is None else {
@@ -290,8 +293,8 @@ def test_ext_graph_replay(benchmark):
     # arena take are measurable at this model size, so the timed runs
     # above stay registry-free on both sides.
     reg = MetricsRegistry()
-    with use_registry(reg):
-        _train_run(_trainer(state, True), batches[:6])
+    with use_registry(reg), graph_capture(True):
+        _train_run(_trainer(state), batches[:6])
     train_captures = reg.counter("tensor/graph/captures").value
     train_replays = reg.counter("tensor/graph/replays").value
     # The arena is process-global, so read its cumulative total rather

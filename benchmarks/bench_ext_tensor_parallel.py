@@ -33,6 +33,7 @@ from repro.nn import TransformerConfig, TransformerLM
 from repro.obs import use_registry
 from repro.serve import CachePool, Request, Scheduler, SchedulerConfig
 from repro.serve import GenerationEngine
+from repro.tensor import graph_capture
 
 from .common import emit
 
@@ -88,8 +89,8 @@ def run_serving(state, tp, group):
     """
     model = make_model(state)
     with use_registry() as reg:
-        with tp_enable(model, tp, group=group) as tp_state:
-            engine = GenerationEngine(model, graph_capture=False)
+        with tp_enable(model, tp, group=group) as tp_state, graph_capture(False):
+            engine = GenerationEngine(model)
 
             def serve(requests):
                 pool = CachePool(

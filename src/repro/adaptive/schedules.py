@@ -140,7 +140,18 @@ def make_schedule(
     **kwargs,
 ) -> LayerSchedule:
     """Build a schedule by name (round_robin | random | importance |
-    fixed_shallow | full)."""
+    fixed_shallow | full).
+
+    With ``num_layers`` given, every exit point must lie in
+    ``[1, num_layers]``; a deeper one would only fail once the schedule
+    first selected it, mid-run.
+    """
+    if num_layers is not None:
+        bad = sorted({int(p) for p in exit_points if not 1 <= p <= num_layers})
+        if bad:
+            raise ValueError(
+                f"exit points {bad} lie outside the model's [1, {num_layers}]"
+            )
     if name == "round_robin":
         return RoundRobinSchedule(exit_points, window)
     if name == "random":

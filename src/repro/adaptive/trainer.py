@@ -5,18 +5,26 @@ Each iteration:
 1. a :class:`LayerSchedule` picks an exit depth and a gradient window,
 2. blocks below the window run forward-only (no tape, no saved
    activations), the hidden state is detached,
-3. blocks inside the window and the exit head run with gradients,
+3. blocks inside the window and the exit head run with gradients, with
+   every out-of-window block frozen for the step,
 4. the loss at the exit head is backpropagated — through ``window`` blocks
-   instead of the full stack.
+   instead of the full stack — freeing each tape buffer as soon as its
+   last gradient contribution lands,
+5. the optimizer steps every parameter that received a gradient.
 
 Forward compute stops at the exit (blocks above it are skipped entirely),
 backward compute and activation memory scale with the window, which is the
 mechanism behind the paper's speedup and memory claims.
+
+That is the only train-step path; ``checkpoint_blocks`` is the one
+execution switch on the config.  Graph capture and the fused kernels
+follow the process-wide toggles (:func:`repro.tensor.graph_capture`,
+:func:`repro.tensor.fused_kernels`), and a replayed step is bitwise the
+traced one.
 """
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 import time
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -32,7 +40,6 @@ from ..tensor import (
     GraphRecorder,
     Tensor,
     cross_entropy,
-    fused_kernels,
     fused_kernels_enabled,
     graph_capture_enabled,
     no_grad,
@@ -55,13 +62,7 @@ def default_exit_points(num_layers: int, n_exits: int = 3) -> List[int]:
 
 @dataclasses.dataclass
 class AdaptiveTuningConfig:
-    """Hyper-parameters of the adaptive tuning loop.
-
-    The last block of flags controls the train-step fast path.  Defaults
-    reproduce the paper's mechanism (truncated backprop, eager memory
-    reclamation, vectorized optimizer); ``fast_path=False`` gives the
-    full-tape baseline the speedup benchmarks compare against.
-    """
+    """Hyper-parameters of the adaptive tuning loop."""
 
     window: int = 2
     exit_points: Optional[Sequence[int]] = None  # default: 3 even exits
@@ -73,32 +74,6 @@ class AdaptiveTuningConfig:
     tie_exit_heads: bool = True
     checkpoint_blocks: bool = False  # gradient-checkpoint the window blocks
     seed: int = 0
-    # --- train-step fast path ---------------------------------------
-    # Grad-free frozen-block forward: blocks below the window run under
-    # no_grad with a stop-gradient at the window edge.  False tapes the
-    # whole prefix (seed-era behavior, the benchmark baseline).
-    fast_path: bool = True
-    # Explicitly freeze out-of-window block parameters for the step
-    # (restored afterwards) so optimizers and grad clipping skip them.
-    freeze_out_of_window: bool = True
-    # Free each tape buffer as its last backward contribution lands.
-    eager_reclaim: bool = True
-    # Vectorized optimizer step over one flat parameter slab.
-    flat_optimizer: bool = True
-    # "all" optimizes every model/head parameter that receives gradients;
-    # "window" restricts the optimizer to parameters a scheduled window
-    # can ever train (blocks in any window, their exit heads, the final
-    # norm/unembedding) — the scope under which full-tape and fast-path
-    # training follow bit-identical trajectories.
-    optimizer_scope: str = "all"
-    # None inherits the process-wide fused-kernel toggle; True/False pins
-    # it for the duration of each train step.
-    fused_kernels: Optional[bool] = None
-    # Capture each (window, batch-shape) step as an explicit VJP graph on
-    # first run and replay it without re-tracing afterwards (see
-    # repro.tensor.graph).  None inherits the process-wide toggle;
-    # replayed steps are bitwise identical to traced ones.
-    graph_capture: Optional[bool] = None
 
 
 @dataclasses.dataclass
@@ -158,17 +133,7 @@ class AdaptiveLayerTrainer:
             num_layers=model.num_layers,
         )
         self._rng = np.random.default_rng(self.config.seed)
-        if self.config.optimizer_scope == "window":
-            params = self._window_scope_params()
-        elif self.config.optimizer_scope == "all":
-            params = list(model.parameters()) + [
-                p for p in exit_heads.parameters()
-            ]
-        else:
-            raise ValueError(
-                f"optimizer_scope must be 'all' or 'window', "
-                f"got {self.config.optimizer_scope!r}"
-            )
+        params = list(model.parameters()) + list(exit_heads.parameters())
         # Dedupe tied parameters (exit heads may share the embedding).
         seen, unique = set(), []
         for p in params:
@@ -182,7 +147,6 @@ class AdaptiveLayerTrainer:
         if self.config.optimizer in ("adamw",):
             kwargs["weight_decay"] = self.config.weight_decay
         self.optimizer: Optimizer = opt_cls(unique, **kwargs)
-        self.optimizer.flat = bool(self.config.flat_optimizer)
         self._block_params: List[List] = [
             [p for _, p in block.named_parameters()] for block in model.blocks
         ]
@@ -201,45 +165,13 @@ class AdaptiveLayerTrainer:
         self._capture_tape: Dict[tuple, Tuple[int, int]] = {}
         self._graph_step: Optional[Tuple[str, tuple]] = None
 
-    def _window_scope_params(self) -> List:
-        """Parameters any scheduled window can train: blocks reachable by
-        some window, the exit heads at scheduled exits, and the final
-        norm + unembedding when the final exit is scheduled."""
-        model = self.model
-        scoped: List = []
-        final_exit = False
-        for point in self.schedule.exit_points:
-            w = self.schedule._window_for_exit(point)
-            for i in range(w.start, w.stop):
-                scoped.extend(p for _, p in model.blocks[i].named_parameters())
-            if w.exit_point >= model.num_layers:
-                final_exit = True
-            else:
-                head = self.exit_heads.head_for(w.exit_point)
-                scoped.extend(head.parameters())
-                if getattr(head, "_tied_embedding", None) is not None:
-                    scoped.append(head._tied_embedding.weight)
-        if final_exit:
-            scoped.extend(model.norm.parameters())
-            if model.lm_head is not None:
-                scoped.extend(model.lm_head.parameters())
-            else:
-                scoped.append(model.embed.weight)
-        return scoped
-
     # ------------------------------------------------------------------
     def _logits_for_window(self, inputs: np.ndarray, window: TuningWindow) -> Tensor:
         model = self.model
-        if self.config.fast_path:
-            with no_grad():
-                hidden = model.embed_tokens(inputs)
-                hidden = model.run_blocks(hidden, 0, window.start)
-            hidden = Tensor(hidden.data)  # cut the (empty) tape explicitly
-        else:
-            # Seed-era full-tape baseline: the frozen prefix records tape
-            # nodes and backward walks the entire depth.
+        with no_grad():
             hidden = model.embed_tokens(inputs)
             hidden = model.run_blocks(hidden, 0, window.start)
+        hidden = Tensor(hidden.data)  # cut the (empty) tape explicitly
         hidden = model.run_blocks(
             hidden,
             window.start,
@@ -274,12 +206,7 @@ class AdaptiveLayerTrainer:
         traced path."""
         config = self.config
         self._graph_step = None
-        capture_on = (
-            config.graph_capture
-            if config.graph_capture is not None
-            else graph_capture_enabled()
-        )
-        if capture_on and not config.checkpoint_blocks:
+        if graph_capture_enabled() and not config.checkpoint_blocks:
             loss_value = self._captured_step(inputs, targets, window)
             if loss_value is not None:
                 if config.grad_clip:
@@ -289,7 +216,7 @@ class AdaptiveLayerTrainer:
         logits = self._logits_for_window(inputs, window)
         loss = cross_entropy(logits, targets)
         self.optimizer.zero_grad()
-        loss.backward(reclaim=config.eager_reclaim)
+        loss.backward(reclaim=True)
         if config.grad_clip:
             clip_grad_norm(self.optimizer.params, config.grad_clip)
         self.optimizer.step()
@@ -301,7 +228,6 @@ class AdaptiveLayerTrainer:
         """Run forward+backward via graph capture/replay.  Returns the
         loss, or None when this configuration is known uncacheable (the
         caller then runs the plain traced path)."""
-        config = self.config
         ids = np.asarray(inputs)
         if ids.dtype != np.int64:
             ids = ids.astype(np.int64)
@@ -315,7 +241,6 @@ class AdaptiveLayerTrainer:
             window.exit_point,
             ids.shape,
             tgt.shape,
-            bool(config.fast_path),
             fused_kernels_enabled(),
         )
         cache = self._graph_cache
@@ -333,7 +258,7 @@ class AdaptiveLayerTrainer:
                 logits = self._logits_for_window(ids, window)
                 loss = cross_entropy(logits, tgt)
                 self.optimizer.zero_grad()
-                loss.backward(reclaim=config.eager_reclaim)
+                loss.backward(reclaim=True)
             graph = recorder.finalize(outputs=[loss], loss=loss)
             cache.store(key, graph)
             self._graph_step = ("captured", key)
@@ -346,22 +271,12 @@ class AdaptiveLayerTrainer:
     def train_step(self, inputs: np.ndarray, targets: np.ndarray) -> StepStats:
         """One adaptive tuning iteration on a single batch."""
         start = time.perf_counter()
-        config = self.config
         reg = get_registry()
         fold_hits_before = reg.counter("nn/fold/hits").value
         fold_misses_before = reg.counter("nn/fold/misses").value
-        fused_ctx = (
-            contextlib.nullcontext()
-            if config.fused_kernels is None
-            else fused_kernels(config.fused_kernels)
-        )
-        with span("adapt/iter"), profile_tape() as tape, fused_ctx:
+        with span("adapt/iter"), profile_tape() as tape:
             window = self.schedule.select(self.iteration, self._rng)
-            frozen = (
-                self._freeze_out_of_window(window)
-                if config.fast_path and config.freeze_out_of_window
-                else []
-            )
+            frozen = self._freeze_out_of_window(window)
             try:
                 loss_value = self._step_core(inputs, targets, window)
             finally:
@@ -517,15 +432,8 @@ def vanilla_trainer(
     grad_clip: float = 1.0,
     seed: int = 0,
     checkpoint_blocks: bool = False,
-    **fast_path_overrides,
 ) -> AdaptiveLayerTrainer:
-    """Full-depth tuning baseline expressed as a degenerate schedule.
-
-    ``fast_path_overrides`` forwards any fast-path knob of
-    :class:`AdaptiveTuningConfig` (``eager_reclaim``, ``flat_optimizer``,
-    ``fast_path``, ``fused_kernels``, ...): full-depth training still
-    benefits from reclamation and the flat optimizer step.
-    """
+    """Full-depth tuning baseline expressed as a degenerate schedule."""
     config = AdaptiveTuningConfig(
         window=model.num_layers,
         exit_points=[model.num_layers],
@@ -535,7 +443,6 @@ def vanilla_trainer(
         grad_clip=grad_clip,
         seed=seed,
         checkpoint_blocks=checkpoint_blocks,
-        **fast_path_overrides,
     )
     return AdaptiveLayerTrainer(model, config)
 

@@ -299,13 +299,6 @@ def cmd_adapt(args) -> int:
             "plain or sliced checkpoints, or use --tp with generate/"
             "serve-sim"
         )
-    if args.shards > 1 or args.micro_batches > 1:
-        if args.no_fast_path:
-            raise SystemExit("--shards/--micro-batches require the fast "
-                             "path (drop --no-fast-path)")
-        if args.optimizer_scope != "all":
-            raise SystemExit("--shards/--micro-batches require "
-                             "--optimizer-scope all")
     pre = _corpus(args, seed=args.language_seed)
     target = _corpus(args, seed=args.target_seed)
     rng = np.random.default_rng(args.seed)
@@ -316,10 +309,6 @@ def cmd_adapt(args) -> int:
             window=args.window,
             exit_points=args.exits or None,
             lr=args.lr,
-            fast_path=not args.no_fast_path,
-            eager_reclaim=not args.no_eager_reclaim,
-            flat_optimizer=not args.no_flat_optimizer,
-            optimizer_scope=args.optimizer_scope,
         ),
         workers=args.workers,
         cache_dir=args.cache_dir,
@@ -508,6 +497,7 @@ def cmd_serve_sim(args) -> int:
         Scheduler,
         SchedulerConfig,
     )
+    from .tensor import graph_capture, graph_capture_enabled
 
     model = load_model(args.model)
     rng = np.random.default_rng(args.seed)
@@ -592,15 +582,12 @@ def cmd_serve_sim(args) -> int:
         # (sampling, voting, speculation, priorities, prefix sharing):
         # the sharded GEMMs fan out to the rank workers on no-grad
         # forwards and per-request RNG streams stay on the head shard.
-        # Graph capture is disabled so decode forwards reach the group
-        # instead of the replay cache.
         tp_state = tp_enable(model, args.tp, chunks=args.tp_chunks,
                              group=True)
     engine = GenerationEngine(
         model, voting=voting, confidence_threshold=args.confidence,
         draft_heads=draft_heads, draft_exit=args.draft_exit,
         draft_k=args.speculative_k,
-        graph_capture=False if tp_state is not None else None,
     )
     budget = args.max_resident_tokens or max(
         sum(r.reserved_tokens for r in requests), 1
@@ -614,20 +601,23 @@ def cmd_serve_sim(args) -> int:
     )
 
     try:
-        start = time.perf_counter()
-        pending = list(requests)
-        if not args.arrival_per_step:
-            for request in pending:
-                scheduler.submit(request)
-            pending = []
-        while pending or not scheduler.idle:
-            for request in pending[: args.arrival_per_step or 0]:
-                scheduler.submit(request)
-            pending = pending[args.arrival_per_step or 0:]
-            scheduler.step()
-        wall = time.perf_counter() - start
+        # Under TP, graph capture is off so decode forwards reach the
+        # group instead of the replay cache.
+        with graph_capture(tp_state is None and graph_capture_enabled()):
+            start = time.perf_counter()
+            pending = list(requests)
+            if not args.arrival_per_step:
+                for request in pending:
+                    scheduler.submit(request)
+                pending = []
+            while pending or not scheduler.idle:
+                for request in pending[: args.arrival_per_step or 0]:
+                    scheduler.submit(request)
+                pending = pending[args.arrival_per_step or 0:]
+                scheduler.step()
+            wall = time.perf_counter() - start
 
-        results = scheduler.run()
+            results = scheduler.run()
     finally:
         if tp_state is not None:
             tp_state.close()
@@ -783,15 +773,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, default=60)
     p.add_argument("--lr", type=float, default=2e-3)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--no-fast-path", action="store_true",
-                   help="tape the frozen prefix (seed-era full-tape baseline)")
-    p.add_argument("--no-eager-reclaim", action="store_true",
-                   help="keep tape buffers until backward finishes")
-    p.add_argument("--no-flat-optimizer", action="store_true",
-                   help="per-parameter optimizer loop instead of flat slab")
-    p.add_argument("--optimizer-scope", default="all",
-                   choices=["all", "window"],
-                   help="which parameters the optimizer tracks")
     p.set_defaults(fn=cmd_adapt)
 
     p = sub.add_parser("speedup", help="modeled iteration speedup")

@@ -85,10 +85,6 @@ class DistConfig:
 def validate_tuning_config(config: AdaptiveTuningConfig) -> None:
     """Reject tuning configurations the sharded path cannot reproduce
     bit-for-bit (see docs/parallelism.md for the contract)."""
-    if not config.fast_path:
-        raise ValueError("dist tuning requires fast_path=True")
-    if config.optimizer_scope != "all":
-        raise ValueError("dist tuning requires optimizer_scope='all'")
     if config.checkpoint_blocks:
         raise ValueError("dist tuning does not support checkpoint_blocks")
 

@@ -17,7 +17,6 @@ so the sharded loss trajectory is bit-for-bit the ``shards=1`` one.
 
 from __future__ import annotations
 
-import contextlib
 import time
 from typing import Dict, List, Optional, Tuple
 
@@ -29,7 +28,7 @@ from ..adaptive.trainer import AdaptiveTuningConfig, _OPTIMIZERS
 from ..nn.attention import KVCache
 from ..nn.transformer import TransformerLM
 from ..parallel import derive_seed
-from ..tensor import Tensor, cross_entropy, fused_kernels, no_grad
+from ..tensor import Tensor, cross_entropy, no_grad
 from .plan import StagePlan
 
 EMBED_NAME = "model.embed.weight"
@@ -41,7 +40,7 @@ def canonical_parameters(
     """The model + exit-head parameters in canonical order.
 
     This is exactly the order ``AdaptiveLayerTrainer`` hands its
-    optimizer under ``optimizer_scope="all"`` — the order the global
+    optimizer — the order the global
     grad-norm is summed in, which the driver reproduces when it merges
     per-stage partial sums.
     """
@@ -127,7 +126,6 @@ class StageHost:
             if config.optimizer in ("adamw",):
                 kwargs["weight_decay"] = config.weight_decay
             self.optimizer = opt_cls([p for _, p in self.owned], **kwargs)
-            self.optimizer.flat = bool(config.flat_optimizer)
 
         # --- per-step scratch -----------------------------------------
         self._window: Optional[TuningWindow] = None
@@ -162,12 +160,6 @@ class StageHost:
             return []
         return [EMBED_NAME]
 
-    def _fused_ctx(self):
-        cfg = self.config
-        if cfg is None or cfg.fused_kernels is None:
-            return contextlib.nullcontext()
-        return fused_kernels(cfg.fused_kernels)
-
     def exit_stage_for(self, window: TuningWindow) -> int:
         return self.plan.stage_of_block(window.exit_point - 1)
 
@@ -193,15 +185,13 @@ class StageHost:
         for _, p in self.shared_used:
             p.grad = None
         self._frozen = []
-        cfg = self.config
-        if cfg is not None and cfg.fast_path and cfg.freeze_out_of_window:
-            for i in range(self.lo, self.hi):
-                if window.start <= i < window.stop:
-                    continue
-                for _, p in self.model.blocks[i].named_parameters():
-                    if p.requires_grad:
-                        p.requires_grad = False
-                        self._frozen.append(p)
+        for i in range(self.lo, self.hi):
+            if window.start <= i < window.stop:
+                continue
+            for _, p in self.model.blocks[i].named_parameters():
+                if p.requires_grad:
+                    p.requires_grad = False
+                    self._frozen.append(p)
         self.busy_s += time.perf_counter() - t0
 
     def forward_micro(
@@ -221,37 +211,36 @@ class StageHost:
         # taped.  Mirrors AdaptiveLayerTrainer._logits_for_window, just
         # cut at the stage boundary.
         fs = min(max(window.start, self.lo), stop_local)
-        with self._fused_ctx():
-            if self.stage_index == 0:
+        if self.stage_index == 0:
+            with no_grad():
+                hidden = model.embed_tokens(self._micro_inputs[m])
+                hidden = model.run_blocks(hidden, self.lo, fs)
+            hidden = Tensor(hidden.data)  # cut the (empty) tape
+        else:
+            needs_grad = self.lo > window.start
+            hidden = Tensor(hidden_in, requires_grad=needs_grad)
+            if needs_grad:
+                self._inps[m] = hidden
+            if fs > self.lo:
                 with no_grad():
-                    hidden = model.embed_tokens(self._micro_inputs[m])
                     hidden = model.run_blocks(hidden, self.lo, fs)
-                hidden = Tensor(hidden.data)  # cut the (empty) tape
+                hidden = Tensor(hidden.data)
+        hidden = model.run_blocks(hidden, fs, stop_local)
+        if is_exit:
+            if window.exit_point >= model.num_layers:
+                logits = model.head(hidden)
             else:
-                needs_grad = self.lo > window.start
-                hidden = Tensor(hidden_in, requires_grad=needs_grad)
-                if needs_grad:
-                    self._inps[m] = hidden
-                if fs > self.lo:
-                    with no_grad():
-                        hidden = model.run_blocks(hidden, self.lo, fs)
-                    hidden = Tensor(hidden.data)
-            hidden = model.run_blocks(hidden, fs, stop_local)
-            if is_exit:
-                if window.exit_point >= model.num_layers:
-                    logits = model.head(hidden)
-                else:
-                    logits = self.exit_heads.logits_at(
-                        window.exit_point, hidden
-                    )
-                loss = cross_entropy(logits, self._micro_targets[m])
-                self._outs[m] = loss
-                self.busy_s += time.perf_counter() - t0
-                return None
-            if self.lo > window.start or fs < stop_local:
-                self._outs[m] = hidden
+                logits = self.exit_heads.logits_at(
+                    window.exit_point, hidden
+                )
+            loss = cross_entropy(logits, self._micro_targets[m])
+            self._outs[m] = loss
             self.busy_s += time.perf_counter() - t0
-            return hidden.data
+            return None
+        if self.lo > window.start or fs < stop_local:
+            self._outs[m] = hidden
+        self.busy_s += time.perf_counter() - t0
+        return hidden.data
 
     def backward_micro(
         self, m: int, grad_in: Optional[np.ndarray]
@@ -261,16 +250,14 @@ class StageHost:
         the boundary sits at/below the window start)."""
         t0 = time.perf_counter()
         window = self._window
-        reclaim = bool(self.config.eager_reclaim) if self.config else True
         is_exit = self.exit_stage_for(window) == self.stage_index
-        with self._fused_ctx():
-            if is_exit:
-                loss = self._outs.pop(m)
-                self._losses[m] = loss.item()
-                loss.backward(reclaim=reclaim)
-            else:
-                out = self._outs.pop(m)
-                out.backward(grad_in, reclaim=reclaim)
+        if is_exit:
+            loss = self._outs.pop(m)
+            self._losses[m] = loss.item()
+            loss.backward(reclaim=True)
+        else:
+            out = self._outs.pop(m)
+            out.backward(grad_in, reclaim=True)
         grad_out = None
         if self.lo > window.start:
             grad_out = self._inps.pop(m).grad

@@ -27,7 +27,8 @@ request-level generation runtime:
   key/value projections of the exit hidden state (CALM-style state
   propagation) — so any later token may run the full depth.
 
-Graph capture is a cache over that one path.  With capture on, plain and
+Graph capture is a cache over that one path, switched by the process-wide
+toggle (:func:`repro.tensor.graph_capture`).  With capture on, plain and
 speculative steps replay a graph captured once per (batch, bucket)
 shape, and the decode slabs persist across steps: the new token's k/v is
 written in place and the slabs are revalidated against the per-request
@@ -114,7 +115,6 @@ class GenerationEngine:
         draft_heads=None,
         draft_exit: Optional[int] = None,
         draft_k: int = 0,
-        graph_capture: Optional[bool] = None,
     ):
         if confidence_threshold is not None:
             if voting is None:
@@ -155,8 +155,6 @@ class GenerationEngine:
         self.draft_exit = draft_exit if draft_k > 0 else None
         self.draft_k = draft_k
         # Decode-step graphs, keyed per (kind, batch, bucket[, ...]).
-        # None inherits the process-wide toggle.
-        self.graph_capture = graph_capture
         self._graphs = GraphCache()
         # Persistent decode slabs, kept only while capture is on:
         # ``(key, ks, vs)``, where ``key`` pins what the slabs mirror
@@ -451,18 +449,13 @@ class GenerationEngine:
     # ------------------------------------------------------------------
     # the padded-slab path shared by every decode mode
     # ------------------------------------------------------------------
-    def _capture_active(self) -> bool:
-        if self.graph_capture is not None:
-            return self.graph_capture
-        return graph_capture_enabled()
-
     def _graph_apply(self, key, arrays, build) -> List[np.ndarray]:
         """Run ``build`` (declared-input Tensors to output Tensors) on
         ``arrays``.  With capture on, replay the graph for ``key``,
         capturing it on first use; with capture off, or when the
         configuration turned out uncacheable, trace ``build``."""
         cache = self._graphs
-        if not self._capture_active() or cache.known_uncacheable(key):
+        if not graph_capture_enabled() or cache.known_uncacheable(key):
             outs = build([Tensor(a) for a in arrays])
             return [np.asarray(o.data) for o in outs]
         graph = cache.lookup(key)
@@ -559,7 +552,7 @@ class GenerationEngine:
     def _decode_slabs(self, entries, lengths: np.ndarray, bucket: int):
         """The step's slabs: freshly stacked with capture off; with
         capture on, the persistent ones while their key still matches."""
-        key = self._slab_key(entries, lengths, bucket) if self._capture_active() else None
+        key = self._slab_key(entries, lengths, bucket) if graph_capture_enabled() else None
         if self._slabs is not None and self._slabs[0] == key:
             return self._slabs[1], self._slabs[2]
         self._slabs = None  # free the stale slabs before stacking new ones

@@ -10,6 +10,9 @@ from repro.adaptive import (
     vanilla_trainer,
 )
 from repro.data import lm_batches
+from repro.nn import TransformerLM
+
+from ..conftest import small_config
 
 
 def batches(corpus, n, rng_seed=0, batch=4, seq=24):
@@ -100,6 +103,14 @@ class TestTrainStep:
             AdaptiveLayerTrainer(
                 pretrained_model, AdaptiveTuningConfig(optimizer="bogus")
             )
+
+    def test_exit_points_past_the_model_rejected_at_build(self):
+        """An exit deeper than the model fails when the trainer is built,
+        not when the schedule first selects it mid-run."""
+        model = TransformerLM(small_config(num_layers=4))
+        config = AdaptiveTuningConfig(window=2, exit_points=[2, 6])
+        with pytest.raises(ValueError, match=r"exit points \[6\]"):
+            AdaptiveLayerTrainer(model, config)
 
 
 class TestAccounting:

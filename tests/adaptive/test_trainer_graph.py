@@ -14,6 +14,7 @@ from repro.luc import LUCPolicy, apply_luc
 from repro.nn import TransformerLM
 from repro.nn.transforms import PruneMask, TransformedLinear
 from repro.obs import MetricsRegistry, use_registry
+from repro.tensor import graph_capture
 
 from ..conftest import small_config
 
@@ -28,7 +29,6 @@ def untied_model(state=None):
 def window_config(**overrides):
     defaults = dict(
         window=2, exit_points=[4], schedule="round_robin", lr=1e-3,
-        optimizer_scope="window",
     )
     defaults.update(overrides)
     return AdaptiveTuningConfig(**defaults)
@@ -38,17 +38,18 @@ def train_batches(corpus, n, seed=0):
     return list(lm_batches(corpus, 4, 16, n, np.random.default_rng(seed)))
 
 
-def run_losses(state, batches, **overrides):
+def run_losses(state, batches, capture, **overrides):
     trainer = AdaptiveLayerTrainer(untied_model(state), window_config(**overrides))
-    return [trainer.train_step(i, t).loss for i, t in batches]
+    with graph_capture(capture):
+        return [trainer.train_step(i, t).loss for i, t in batches]
 
 
 class TestTrajectoryIdentity:
     def test_capture_is_bit_identical(self, adapt_corpus):
         state = untied_model().state_dict()
         batches = train_batches(adapt_corpus, 8)
-        captured = run_losses(state, batches, graph_capture=True)
-        traced = run_losses(state, batches, graph_capture=False)
+        captured = run_losses(state, batches, True)
+        traced = run_losses(state, batches, False)
         assert captured == traced
 
     def test_capture_identical_across_window_rotation(self, adapt_corpus):
@@ -56,8 +57,8 @@ class TestTrajectoryIdentity:
         own graph and the trajectory still matches trace-every-step."""
         state = untied_model().state_dict()
         batches = train_batches(adapt_corpus, 6)
-        captured = run_losses(state, batches, graph_capture=True, window=1)
-        traced = run_losses(state, batches, graph_capture=False, window=1)
+        captured = run_losses(state, batches, True, window=1)
+        traced = run_losses(state, batches, False, window=1)
         assert captured == traced
 
 
@@ -69,8 +70,7 @@ def pruned_losses(state, batches, capture, swap_mask_at=None):
     model.load_state_dict(state)
     apply_luc(model, LUCPolicy.uniform(4, 16, 0.3))
     trainer = AdaptiveLayerTrainer(
-        model,
-        window_config(window=1, exit_points=[1, 2, 3, 4], graph_capture=capture),
+        model, window_config(window=1, exit_points=[1, 2, 3, 4])
     )
     losses = []
     for i, (inputs, targets) in enumerate(batches):
@@ -80,7 +80,8 @@ def pruned_losses(state, batches, capture, swap_mask_at=None):
                 if isinstance(module, TransformedLinear):
                     prune = module.find(PruneMask)
                     prune.set_mask(rng.random(prune.mask.shape) > 0.5)
-        losses.append(trainer.train_step(inputs, targets).loss)
+        with graph_capture(capture):
+            losses.append(trainer.train_step(inputs, targets).loss)
     return losses
 
 
@@ -114,11 +115,10 @@ class TestCounters:
         state = untied_model().state_dict()
         batches = train_batches(adapt_corpus, 8)
         trainer = AdaptiveLayerTrainer(
-            untied_model(state),
-            window_config(graph_capture=True, window=1, exit_points=[2, 4]),
+            untied_model(state), window_config(window=1, exit_points=[2, 4])
         )
         reg = MetricsRegistry()
-        with use_registry(reg):
+        with use_registry(reg), graph_capture(True):
             for inputs, targets in batches:
                 trainer.train_step(inputs, targets)
         captures = reg.counter("tensor/graph/captures").value
@@ -140,6 +140,6 @@ class TestCounters:
         batches = train_batches(adapt_corpus, 4)
         reg = MetricsRegistry()
         with use_registry(reg):
-            run_losses(state, batches, graph_capture=False)
+            run_losses(state, batches, False)
         assert reg.counter("tensor/graph/captures").value == 0
         assert reg.counter("tensor/graph/replays").value == 0

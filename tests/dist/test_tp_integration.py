@@ -30,6 +30,7 @@ from repro.serve import (
     SchedulerConfig,
     serve_batch,
 )
+from repro.tensor import graph_capture
 
 from ..conftest import small_config
 
@@ -104,7 +105,7 @@ def sampled_requests(prompts, seed=7):
 
 
 def run_scheduler(model, requests):
-    engine = GenerationEngine(model, graph_capture=False)
+    engine = GenerationEngine(model)
     pool = CachePool(
         model.num_layers, sum(r.reserved_tokens for r in requests)
     )
@@ -113,7 +114,8 @@ def run_scheduler(model, requests):
     )
     for r in requests:
         scheduler.submit(r)
-    return {r.request_id: r.tokens for r in scheduler.run()}
+    with graph_capture(False):
+        return {r.request_id: r.tokens for r in scheduler.run()}
 
 
 class TestServingComposition:

@@ -61,16 +61,6 @@ class TestFallback:
 
 
 class TestValidation:
-    def test_rejects_full_tape(self):
-        with pytest.raises(ValueError, match="fast_path"):
-            validate_tuning_config(AdaptiveTuningConfig(fast_path=False))
-
-    def test_rejects_window_scoped_optimizer(self):
-        with pytest.raises(ValueError, match="optimizer_scope"):
-            validate_tuning_config(
-                AdaptiveTuningConfig(optimizer_scope="window")
-            )
-
     def test_rejects_checkpointing(self):
         with pytest.raises(ValueError, match="checkpoint_blocks"):
             validate_tuning_config(
@@ -83,6 +73,14 @@ class TestValidation:
             PipelineRunner(
                 model, DistConfig(shards=2, serial=True),
                 AdaptiveTuningConfig(),
+            )
+
+    def test_rejects_exit_points_past_the_model(self):
+        model = TransformerLM(small_config(num_layers=4))
+        config = AdaptiveTuningConfig(window=2, exit_points=[2, 6])
+        with pytest.raises(ValueError, match=r"exit points \[6\]"):
+            PipelineAdaptiveTrainer(
+                model, config, DistConfig(shards=2, serial=True)
             )
 
     def test_rejects_more_shards_than_blocks(self):

@@ -94,13 +94,6 @@ class TestAdaptSharded:
         assert out["adapted_perplexity"] < 100
         assert len(out["stage_memory_bytes"]) == 2
 
-    def test_sharded_rejects_full_tape(self, checkpoint):
-        with pytest.raises(SystemExit):
-            main([
-                "adapt", *FAST_MODEL, "--model", checkpoint,
-                "--shards", "2", "--no-fast-path",
-            ])
-
 
 class TestSpeedup:
     def test_reports_speedup(self, capsys):

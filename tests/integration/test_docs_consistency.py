@@ -1,5 +1,5 @@
 """Guards against documentation rot: DESIGN.md's experiment index and the
-README's CLI snippets must match the actual repository."""
+CLI snippets of README.md and docs/*.md must match the actual repository."""
 
 import os
 import re
@@ -49,9 +49,15 @@ class TestReadmeClaims:
         from repro.cli import build_parser
 
         readme = read("README.md")
+        assert "python -m repro " in readme, "README must show CLI usage"
+        docs = sorted(
+            f for f in os.listdir(os.path.join(ROOT, "docs")) if f.endswith(".md")
+        )
         parser = build_parser()
-        commands = re.findall(r"python -m repro ([a-z][a-z-]*)([^\n]*)", readme)
-        assert commands, "README must show CLI usage"
+        commands = []
+        for text in [readme] + [read(os.path.join("docs", f)) for f in docs]:
+            text = text.replace("\\\n", " ")  # join continuation lines
+            commands += re.findall(r"python -m repro ([a-z][a-z-]*)([^\n]*)", text)
         for sub, rest in commands:
             rest = rest.split("#")[0]  # strip trailing comments
             argv = [sub] + rest.split()

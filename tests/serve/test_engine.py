@@ -14,6 +14,7 @@ from repro.nn import TransformerLM
 from repro.nn.attention import KVCache
 from repro.obs import use_registry
 from repro.serve import GenerationEngine, Request, serve_batch
+from repro.tensor import graph_capture
 
 from ..conftest import small_config
 
@@ -217,30 +218,33 @@ class TestContextLimit:
     @pytest.mark.parametrize("capture", [False, True])
     def test_decode_past_max_len_raises(self, short_model, capture, vote, batch):
         model, voting = short_model
-        engine = GenerationEngine(
-            model, voting=voting if vote else None, graph_capture=capture
-        )
+        engine = GenerationEngine(model, voting=voting if vote else None)
         entries = [Entry(engine, list(range(15))), Entry(engine, [1, 2, 3])]
         entries = entries[:batch]
-        engine.decode_step(entries)  # the first row now fills max_len
-        for entry in entries:
-            entry.last_token = 5
-        lengths = [[c.length for c in e.caches] for e in entries]
-        with pytest.raises(ValueError, match="sequence length 17 exceeds max_len 16"):
-            engine.decode_step(entries)
-        assert [[c.length for c in e.caches] for e in entries] == lengths
-        if batch == 2:  # the shorter row still decodes
-            engine.decode_step(entries[1:])
-            assert entries[1].caches[0].length == 5
+        with graph_capture(capture):
+            engine.decode_step(entries)  # the first row now fills max_len
+            for entry in entries:
+                entry.last_token = 5
+            lengths = [[c.length for c in e.caches] for e in entries]
+            with pytest.raises(
+                ValueError, match="sequence length 17 exceeds max_len 16"
+            ):
+                engine.decode_step(entries)
+            assert [[c.length for c in e.caches] for e in entries] == lengths
+            if batch == 2:  # the shorter row still decodes
+                engine.decode_step(entries[1:])
+                assert entries[1].caches[0].length == 5
 
     @pytest.mark.parametrize("capture", [False, True])
     def test_speculative_past_max_len_raises(self, short_model, capture):
         model, _ = short_model
         engine = GenerationEngine(
             model, draft_heads=ExitHeadSet(model, exit_points=[3]),
-            draft_exit=3, draft_k=3, graph_capture=capture,
+            draft_exit=3, draft_k=3,
         )
         entry = Entry(engine, list(range(16)))
-        with pytest.raises(ValueError, match="sequence length 17 exceeds max_len 16"):
+        with graph_capture(capture), pytest.raises(
+            ValueError, match="sequence length 17 exceeds max_len 16"
+        ):
             engine.speculative_decode_step([entry])
         assert all(c.length == 16 for c in entry.caches)

@@ -183,15 +183,14 @@ class TestSlicing:
 
 class TestMemory:
     def test_graphs_hold_one_slab_and_no_capture_inputs(self):
-        engine = GenerationEngine(
-            TransformerLM(small_config(max_len=128)), graph_capture=True
-        )
+        engine = GenerationEngine(TransformerLM(small_config(max_len=128)))
         prompts = [list(range(1, 29)), list(range(3, 27)), [5] * 20, [9] * 30]
         entries = prefill_entries(engine, prompts)
-        greedy(engine, entries, 1)  # batch 4, bucket 32: captured here
-        capture_input = weakref.ref(engine._slabs[1][0])
-        greedy(engine, entries[:2], 2)  # batch 2
-        greedy(engine, entries, 4)  # batch 4 again, crossing into bucket 64
+        with graph_capture(True):
+            greedy(engine, entries, 1)  # batch 4, bucket 32: captured here
+            capture_input = weakref.ref(engine._slabs[1][0])
+            greedy(engine, entries[:2], 2)  # batch 2
+            greedy(engine, entries, 4)  # batch 4 again, crossing into bucket 64
         cache = engine._graphs
         needs = [g.step_bytes for g in cache.graphs()]
         assert len(needs) >= 3

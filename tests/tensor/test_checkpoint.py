@@ -145,40 +145,44 @@ class TestCheckpointWithFastPath:
     def test_trainer_paths_agree_on_window_gradients(
         self, pretrained_model, adapt_corpus
     ):
-        """Plain, checkpointed and fast-path (grad-free prefix + reclaim)
-        train steps produce matching gradients for the 2-block window."""
+        """Full-tape, checkpointed and fast-path (grad-free prefix +
+        reclaim) train steps produce matching gradients for the 2-block
+        window."""
         from repro.adaptive import AdaptiveLayerTrainer, AdaptiveTuningConfig
         from repro.data import lm_batches
         from repro.tensor import cross_entropy
+
+        from ..adaptive.test_trainer_fastpath import full_tape_logits
 
         inputs, targets = next(
             lm_batches(adapt_corpus, 4, 16, 1, np.random.default_rng(0))
         )
 
-        def window_grads(fast_path, checkpoint_blocks, reclaim):
+        def window_grads(full_tape, checkpoint_blocks):
             trainer = AdaptiveLayerTrainer(
                 pretrained_model,
                 AdaptiveTuningConfig(
                     window=2, exit_points=[4], schedule="fixed_shallow",
-                    fast_path=fast_path,
                     checkpoint_blocks=checkpoint_blocks,
-                    eager_reclaim=reclaim,
                 ),
             )
             pretrained_model.zero_grad()
             trainer.exit_heads.zero_grad()
             window = trainer.schedule.select(0, np.random.default_rng(0))
-            logits = trainer._logits_for_window(inputs, window)
-            cross_entropy(logits, targets).backward(reclaim=reclaim)
+            if full_tape:
+                logits = full_tape_logits(trainer, inputs, window)
+            else:
+                logits = trainer._logits_for_window(inputs, window)
+            cross_entropy(logits, targets).backward(reclaim=not full_tape)
             return {
                 f"block{i}.{n}": p.grad.copy()
                 for i in range(window.start, window.stop)
                 for n, p in pretrained_model.blocks[i].named_parameters()
             }
 
-        plain = window_grads(False, False, False)
-        fast = window_grads(True, False, True)
-        ckpt = window_grads(True, True, True)
+        plain = window_grads(True, False)
+        fast = window_grads(False, False)
+        ckpt = window_grads(False, True)
         assert set(plain) == set(fast) == set(ckpt)
         for name in plain:
             # Fast path is bit-identical; checkpoint replays the forward
