@@ -26,6 +26,7 @@ traced one.
 from __future__ import annotations
 
 import dataclasses
+import math
 import time
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -74,6 +75,19 @@ class AdaptiveTuningConfig:
     tie_exit_heads: bool = True
     checkpoint_blocks: bool = False  # gradient-checkpoint the window blocks
     seed: int = 0
+
+    def __post_init__(self):
+        # Each bad value below would otherwise run to the end while
+        # climbing the loss (a negative clip scales every gradient by a
+        # negative factor).  ``not x >= 0`` also rejects NaN.
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ValueError(f"lr must be finite and > 0, got {self.lr}")
+        if not self.grad_clip >= 0:
+            raise ValueError(
+                f"grad_clip must be >= 0 (0 disables clipping), got {self.grad_clip}"
+            )
+        if not self.weight_decay >= 0:
+            raise ValueError(f"weight_decay must be >= 0, got {self.weight_decay}")
 
 
 @dataclasses.dataclass

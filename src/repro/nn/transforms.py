@@ -179,13 +179,9 @@ class InputQuant(Transform):
         if self.spec.bits >= 16:
             return x
         from ..quant.qmodule import _requant_with_ste, fake_quant_ste
-        from ..quant.quantizer import dequantize, quantize
 
         if self.scale is not None:
-            if x.requires_grad:
-                return _requant_with_ste(x, self.scale, self.zero, self.spec)
-            q = quantize(x.data, self.scale, self.zero, self.spec)
-            return Tensor(dequantize(q, self.scale, self.zero))
+            return _requant_with_ste(x, self.scale, self.zero, self.spec)
         return fake_quant_ste(x, self.spec, method=self.method)
 
     def extra_repr(self) -> str:

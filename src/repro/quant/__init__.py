@@ -10,6 +10,7 @@ from .quantizer import (
     percentile_range,
     quantization_mse,
     quantize,
+    quantize_grid,
     scale_zero_from_range,
 )
 from .gptq import (
@@ -28,6 +29,7 @@ __all__ = [
     "INT4",
     "INT2",
     "quantize",
+    "quantize_grid",
     "dequantize",
     "fake_quantize",
     "fake_quantize_grouped",

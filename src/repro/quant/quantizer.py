@@ -98,22 +98,38 @@ def _mse_calibrate(
 def _quant_mse(
     data: np.ndarray, scale: np.ndarray, zero: np.ndarray, spec: QuantSpec
 ) -> np.ndarray:
-    recon = dequantize(quantize(data, scale, zero, spec), scale, zero)
+    recon = dequantize(quantize_grid(data, scale, zero, spec), scale, zero)
     axes = _reduce_axes(data, spec)
     return ((data - recon) ** 2).mean(axis=axes, keepdims=True)
+
+
+def quantize_grid(
+    data: np.ndarray, scale: np.ndarray, zero: np.ndarray, spec: QuantSpec
+) -> np.ndarray:
+    """Real -> grid index held as float: the integer codes of
+    :func:`quantize` without the int cast, so a NaN stays NaN.
+
+    Round half to even and clip in place; ``+ 0.0`` turns rint's -0.0
+    into the +0.0 an integer code dequantizes from.
+    """
+    q = data / scale + zero
+    np.rint(q, out=q)
+    np.clip(q, spec.qmin, spec.qmax, out=q)
+    q += 0.0
+    return q
 
 
 def quantize(
     data: np.ndarray, scale: np.ndarray, zero: np.ndarray, spec: QuantSpec
 ) -> np.ndarray:
     """Real -> integer grid (stored in int32 regardless of bit-width)."""
-    q = np.round(data / scale + zero)
-    return np.clip(q, spec.qmin, spec.qmax).astype(np.int32)
+    return quantize_grid(data, scale, zero, spec).astype(np.int32)
 
 
 def dequantize(q: np.ndarray, scale: np.ndarray, zero: np.ndarray) -> np.ndarray:
-    """Integer grid -> real."""
-    return ((q.astype(np.float32) - zero) * scale).astype(np.float32)
+    """Grid (integer codes or :func:`quantize_grid`'s floats) -> real float32."""
+    out = (q.astype(np.float32, copy=False) - zero) * scale
+    return out.astype(np.float32, copy=False)
 
 
 def fake_quantize(
@@ -132,7 +148,7 @@ def fake_quantize(
         return data.astype(np.float32)
     if scale is None or zero is None:
         scale, zero = calibrate(data, spec, method=method)
-    return dequantize(quantize(data, scale, zero, spec), scale, zero)
+    return dequantize(quantize_grid(data, scale, zero, spec), scale, zero)
 
 
 def quantization_mse(data: np.ndarray, spec: QuantSpec, method: str = "minmax") -> float:
@@ -180,6 +196,6 @@ def fake_quantize_grouped(
     scale, zero = scale_zero_from_range(
         lo.astype(np.float32), hi.astype(np.float32), spec
     )
-    recon = dequantize(quantize(grouped, scale, zero, spec), scale, zero)
+    recon = dequantize(quantize_grid(grouped, scale, zero, spec), scale, zero)
     restored = recon.reshape(moved.shape)
     return np.moveaxis(restored, 0, axis).astype(np.float32)

@@ -40,9 +40,9 @@ Replay
 ``Graph.replay`` walks the recorded steps over a flat value table, then
 optionally runs the recorded backward program — a mirror of
 ``Tensor.backward``'s DFS order with identical accumulation semantics, so
-replayed gradients are bitwise equal to traced ones.  Legacy closure
-nodes (checkpointing, STE) mark a capture uncacheable: such graphs are
-never stored.
+replayed gradients are bitwise equal to traced ones.  A dropout closure
+node or a non-cacheable op (fake-quant) marks a capture uncacheable: such
+graphs are never stored.  Gradient-checkpointed steps are never captured.
 
 Memory
 ------
@@ -272,7 +272,7 @@ class GraphRecorder:
         )
 
     def record_opaque(self, parents, out: Tensor) -> None:
-        # A closure node (checkpoint replay, STE, dropout) has no
+        # A closure node (dropout, the one Tensor._make caller) has no
         # replayable structure; poison the capture.
         self.cacheable = False
 

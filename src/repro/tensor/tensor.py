@@ -15,9 +15,10 @@ Because ops are explicit objects (not closures), the tape is inspectable:
 capture whole forward+backward programs and replay them without re-tracing,
 :mod:`repro.tensor.fusion` pattern-matches op chains, and
 :mod:`repro.tensor.arena` lays replayed step outputs into slab views for
-ops that support ``out=``.  A legacy closure node path (:meth:`Tensor._make`) remains for
-ops whose backward re-enters the interpreter (gradient checkpointing,
-straight-through estimators); such nodes mark captured graphs uncacheable.
+ops that support ``out=``.  Two closure node kinds remain: dropout
+(:meth:`Tensor._make`; its forward draws from an external RNG), which
+marks a capture in progress uncacheable, and gradient checkpointing,
+whose backward re-runs its forward and which callers never capture.
 
 Only float64/float32 numpy arrays are supported as differentiable data;
 integer tensors (token ids, masks) flow through as constants.  Grad mode
@@ -137,8 +138,9 @@ class Op:
     * ``supports_out`` — ``forward`` can write into a caller-provided
       buffer (a step-slab view; see :mod:`repro.tensor.arena`) with
       bit-identical results.
-    * ``cacheable`` — safe to replay from a captured graph (False for
-      RNG-dependent ops like dropout).
+    * ``cacheable`` — worth replaying from a captured graph; a recorder
+      that sees a non-cacheable op refuses to store the capture (the
+      fake-quant op of :mod:`repro.quant.qmodule`).
     """
 
     name = "op"
@@ -361,10 +363,9 @@ class Tensor:
     ) -> "Tensor":
         """Create a legacy *closure* tape node.
 
-        Kept for ops whose backward re-enters the interpreter and cannot be
-        expressed as a pure VJP (gradient checkpointing replays its forward;
-        quantization STEs capture module state).  Closure nodes are opaque
-        to graph capture: a recorder seeing one marks the graph uncacheable.
+        Kept for dropout, whose forward draws from an external RNG rather
+        than a replayable input.  Closure nodes are opaque to graph
+        capture: a recorder seeing one marks the graph uncacheable.
         """
         needs = _GRAD_ENABLED.get() and any(p.requires_grad for p in parents)
         out = Tensor(data)
@@ -798,6 +799,19 @@ class SwapaxesOp(Op):
             yield 0, np.swapaxes(grad, axis1, axis2)
 
 
+def _is_basic_index(index) -> bool:
+    """Whether ``index`` is a numpy *basic* index (ints, slices, Ellipsis,
+    None), which addresses each element at most once."""
+    items = index if isinstance(index, tuple) else (index,)
+    return all(
+        i is None
+        or i is Ellipsis
+        or isinstance(i, slice)
+        or (isinstance(i, (int, np.integer)) and not isinstance(i, bool))
+        for i in items
+    )
+
+
 class GetitemOp(Op):
     name = "getitem"
 
@@ -809,7 +823,12 @@ class GetitemOp(Op):
         index, shape, dtype = ctx
         if needs[0]:
             full = np.zeros(shape, dtype=dtype)
-            np.add.at(full, index, grad)
+            if _is_basic_index(index):
+                # No element repeats, so an in-place add into the view
+                # computes exactly the 0.0 + g that add.at would.
+                full[index] += grad
+            else:
+                np.add.at(full, index, grad)
             yield 0, full
 
 

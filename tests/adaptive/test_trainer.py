@@ -32,6 +32,33 @@ class TestDefaults:
             default_exit_points(6, 0)
 
 
+class TestConfigValidation:
+    """Each value below used to run silently while climbing the loss."""
+
+    @pytest.mark.parametrize("lr", [-1e-3, 0.0, float("nan"), float("inf")])
+    def test_lr_must_be_finite_and_positive(self, lr):
+        with pytest.raises(ValueError, match="lr"):
+            AdaptiveTuningConfig(lr=lr)
+
+    @pytest.mark.parametrize("grad_clip", [-1.0, float("nan")])
+    def test_grad_clip_must_be_non_negative(self, grad_clip):
+        with pytest.raises(ValueError, match="grad_clip"):
+            AdaptiveTuningConfig(grad_clip=grad_clip)
+
+    @pytest.mark.parametrize("weight_decay", [-0.01, float("nan")])
+    def test_weight_decay_must_be_non_negative(self, weight_decay):
+        with pytest.raises(ValueError, match="weight_decay"):
+            AdaptiveTuningConfig(weight_decay=weight_decay)
+
+    def test_vanilla_trainer_rejects_negative_clip(self, pretrained_model):
+        with pytest.raises(ValueError, match="grad_clip"):
+            vanilla_trainer(pretrained_model, grad_clip=-1.0)
+
+    def test_boundary_values_accepted(self):
+        config = AdaptiveTuningConfig(lr=1e-6, grad_clip=0.0, weight_decay=0.0)
+        assert config.grad_clip == 0.0  # 0 still means "no clipping"
+
+
 class TestTrainStep:
     def test_step_stats_geometry(self, pretrained_model, adapt_corpus):
         trainer = AdaptiveLayerTrainer(

@@ -143,3 +143,25 @@ class TestCounters:
             run_losses(state, batches, False)
         assert reg.counter("tensor/graph/captures").value == 0
         assert reg.counter("tensor/graph/replays").value == 0
+
+
+class TestCompressedStepsStayTraced:
+    def test_luc_compressed_trainer_stores_no_graph(self, adapt_corpus):
+        """Fake-quant is not cacheable, so a compressed step is traced:
+        over two round-robin cycles the trainer captures, stores and
+        replays nothing, and the cache remembers one uncacheable key per
+        window, so later steps skip the recorder."""
+        model = TransformerLM(small_config(num_layers=4, dim=32, tie_embeddings=False))
+        apply_luc(model, LUCPolicy.uniform(4, 4, 0.3))
+        trainer = AdaptiveLayerTrainer(model, window_config(exit_points=[2, 3, 4]))
+        batches = train_batches(adapt_corpus, 6)
+        reg = MetricsRegistry()
+        with use_registry(reg), graph_capture(True):
+            stats = [trainer.train_step(i, t) for i, t in batches]
+        cache = trainer._graph_cache
+        assert len(cache) == 0
+        assert reg.counter("tensor/graph/captures").value == 0
+        assert reg.counter("tensor/graph/replays").value == 0
+        windows = {(s.window.start, s.window.stop, s.window.exit_point) for s in stats}
+        assert len(windows) == 3
+        assert len(cache._uncacheable) == len(windows)

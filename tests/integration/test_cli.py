@@ -81,6 +81,16 @@ class TestAdapt:
         assert out["adapted_perplexity"] < 100
         assert out["policy_cost"] <= 0.3 + 1e-9
 
+    def test_negative_lr_fails_before_compressing(self, checkpoint, monkeypatch):
+        from repro.pipeline import EdgeLLM
+
+        def compress(*args, **kwargs):
+            raise AssertionError("compress ran with an invalid config")
+
+        monkeypatch.setattr(EdgeLLM, "compress", compress)
+        with pytest.raises(ValueError, match="lr"):
+            main(["adapt", *FAST_MODEL, "--model", checkpoint, "--lr", "-1"])
+
 
 class TestAdaptSharded:
     def test_sharded_pipeline_runs(self, checkpoint, capsys):

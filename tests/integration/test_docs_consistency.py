@@ -1,5 +1,6 @@
-"""Guards against documentation rot: DESIGN.md's experiment index and the
-CLI snippets of README.md and docs/*.md must match the actual repository."""
+"""Guards against documentation rot: DESIGN.md's experiment index, the
+table of benchmarks/README.md and the CLI snippets of README.md and
+docs/*.md must match the actual repository."""
 
 import os
 import re
@@ -32,6 +33,17 @@ class TestDesignIndex:
         refs = set(re.findall(r"benchmarks/(bench_\w+\.py)", design))
         missing = files - refs
         assert not missing, f"benches missing from DESIGN.md index: {missing}"
+
+    def test_every_bench_file_has_a_readme_row(self):
+        readme = read(os.path.join("benchmarks", "README.md"))
+        bench_dir = os.path.join(ROOT, "benchmarks")
+        files = {
+            f for f in os.listdir(bench_dir)
+            if f.startswith("bench_") and f.endswith(".py")
+        }
+        rows = set(re.findall(r"^\| `(bench_\w+\.py)` \|", readme, re.MULTILINE))
+        missing = files - rows
+        assert not missing, f"benches missing from benchmarks/README.md: {missing}"
 
     def test_experiment_ids_covered_in_experiments_md(self):
         design = read("DESIGN.md")

@@ -5,8 +5,10 @@ import pytest
 
 from repro.eval import model_perplexity
 from repro.luc import CompressedLinear, LUCPolicy, apply_luc, remove_luc
-from repro.nn import Linear
-from repro.tensor import Tensor
+from repro.nn import Linear, TransformerConfig, TransformerLM
+from repro.nn.transforms import InputQuant
+from repro.serve.api import Request, serve_batch
+from repro.tensor import Tensor, graph_capture
 
 
 class TestActivationQuant:
@@ -56,3 +58,29 @@ class TestActivationQuant:
         base = model_perplexity(pretrained_model, pretrain_corpus, num_batches=2)
         # W8A8 should be close to lossless on this model.
         assert ppl < base * 1.2
+
+
+class TestFrozenActivationRangeUnderCapture:
+    def test_capture_serves_the_traced_tokens(self):
+        """A frozen activation range quantizes through the fake-quant op
+        even without gradients, so decode capture is refused instead of
+        baking the first step's quantized activations into the graph."""
+        model = TransformerLM(TransformerConfig(
+            vocab_size=32, dim=32, num_layers=2, num_heads=4, max_len=64, seed=0,
+        ))
+        apply_luc(model, LUCPolicy.uniform(2, 8, 0.0), act_bits=8)
+        rng = np.random.default_rng(0)
+        for module in model.modules():
+            if isinstance(module, InputQuant):
+                module.calibrate(rng.standard_normal((16, 32)).astype(np.float32))
+        model.eval()
+        tokens = {}
+        for capture in (True, False):
+            prompts = np.random.default_rng(1).integers(0, 32, (3, 5))
+            requests = [
+                Request(request_id=str(i), prompt=list(p), max_new_tokens=12)
+                for i, p in enumerate(prompts)
+            ]
+            with graph_capture(capture):
+                tokens[capture] = [r.tokens for r in serve_batch(model, requests)]
+        assert tokens[True] == tokens[False]
