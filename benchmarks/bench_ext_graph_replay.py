@@ -20,8 +20,14 @@ asserts the whole contract:
   outputs,
 * speculative (draft/verify) decode and structurally sliced
   checkpoints also emit identical tokens with capture on and off —
-  slicing swaps parameter objects, which the graphs' identity guards
-  catch and re-capture,
+  slicing swaps parameter objects and installs shortcut buffers, which
+  advance the module structure counter every engine graph pins, so the
+  graphs re-capture,
+* voted decode (calibrated exits with confidence early exit, batch 8
+  over a pretrained model) replays one graph per segment between exit
+  points; its voted logits, early-exit flags and tokens are identical
+  with capture on and off (``vote_tokens_identical``).  Its step times
+  on both sides are reported without a bar,
 * captured graphs hold only what a replay reads: after decoding over
   several (batch, bucket) shapes, the engine's graphs hold one step
   slab no larger than its largest graph's step bytes, and none of the
@@ -34,7 +40,12 @@ import weakref
 
 import numpy as np
 
-from repro.adaptive import AdaptiveLayerTrainer, AdaptiveTuningConfig, ExitHeadSet
+from repro.adaptive import (
+    AdaptiveLayerTrainer,
+    AdaptiveTuningConfig,
+    ExitHeadSet,
+    VotingCombiner,
+)
 from repro.data import lm_batches
 from repro.nn import TransformerLM
 from repro.nn.slicing import rotate_and_slice
@@ -43,7 +54,17 @@ from repro.serve import GenerationEngine
 from repro.tensor import graph_capture
 from repro.tensor.arena import get_arena
 
-from .common import ADAPT_STEPS, VOCAB, adapt_corpus, bench_config, emit
+from .common import (
+    ADAPT_STEPS,
+    EXIT_POINTS,
+    VOCAB,
+    adapt_corpus,
+    bench_config,
+    calib_batch,
+    clone_model,
+    emit,
+    pretrain_corpus,
+)
 
 # Train workload: single-stream on-device adaptation (batch 1, short
 # sequences) — the regime the paper targets and where per-step python
@@ -60,6 +81,10 @@ DECODE_BATCH = 8
 PROMPT_LEN = 64
 WARM_STEPS = 6  # bucket captures happen here
 TIMED_STEPS = 24
+
+# Voted decode: a confidence threshold at which some, not all, tokens of
+# the pretrained model exit early.
+VOTE_THRESHOLD = 0.5
 
 DRAFT_K = 4
 DRAFT_EXIT = 4
@@ -176,31 +201,34 @@ def _decode_run(model, capture: bool):
     return tokens, float(np.median(times))
 
 
-def _paired_decode_run(model):
+def _paired_decode_run(model, **engine_kwargs):
     """Capture-off and capture-on engines stepped in lockstep over the
-    same model; best-of-REPEATS per side, token streams asserted stable."""
-    tokens_off = tokens_on = None
+    same model; best-of-REPEATS per side, output streams asserted stable.
+    A side's stream is its tokens per row plus every step's logits and
+    early-exit flags, as bytes."""
+    stream_off = stream_on = None
     best_off = best_on = float("inf")
 
-    def _advance(engine, entries, tokens, capture):
+    def _advance(engine, entries, stream, capture):
         with graph_capture(capture):
             start = time.perf_counter()
-            logits, _ = engine.decode_step(entries)
+            logits, early = engine.decode_step(entries)
             elapsed = time.perf_counter() - start
         nxt = logits.argmax(axis=-1)
         for b, entry in enumerate(entries):
             entry.last_token = int(nxt[b])
-            tokens[b].append(entry.last_token)
+            stream[0][b].append(entry.last_token)
+        stream[1].append((logits.tobytes(), early.tobytes()))
         return elapsed
 
     for _ in range(REPEATS):
         gc.collect()
-        eng_off = GenerationEngine(model)
-        eng_on = GenerationEngine(model)
+        eng_off = GenerationEngine(model, **engine_kwargs)
+        eng_on = GenerationEngine(model, **engine_kwargs)
         entries_off = _prefill_entries(eng_off)
         entries_on = _prefill_entries(eng_on)
-        run_off = [[] for _ in entries_off]
-        run_on = [[] for _ in entries_on]
+        run_off = ([[] for _ in entries_off], [])
+        run_on = ([[] for _ in entries_on], [])
         t_off, t_on = [], []
         for step in range(WARM_STEPS + TIMED_STEPS):
             elapsed_off = _advance(eng_off, entries_off, run_off, False)
@@ -208,12 +236,12 @@ def _paired_decode_run(model):
             if step >= WARM_STEPS:
                 t_off.append(elapsed_off)
                 t_on.append(elapsed_on)
-        assert tokens_off is None or run_off == tokens_off
-        assert tokens_on is None or run_on == tokens_on
-        tokens_off, tokens_on = run_off, run_on
+        assert stream_off is None or run_off == stream_off
+        assert stream_on is None or run_on == stream_on
+        stream_off, stream_on = run_off, run_on
         best_off = min(best_off, float(np.median(t_off)))
         best_on = min(best_on, float(np.median(t_on)))
-    return tokens_off, tokens_on, best_off, best_on
+    return stream_off, stream_on, best_off, best_on
 
 
 def _decode_memory(model):
@@ -275,7 +303,14 @@ def _sliced_tokens(capture: bool, n: int = 16):
     return tokens
 
 
-def test_ext_graph_replay(benchmark):
+def _voting(model):
+    """Calibrated voting over the shared exit points."""
+    voting = VotingCombiner(model, ExitHeadSet(model, exit_points=EXIT_POINTS))
+    voting.calibrate(*calib_batch(pretrain_corpus()))
+    return voting
+
+
+def test_ext_graph_replay(benchmark, base_state):
     state = TransformerLM(CFG_TRAIN).state_dict()
     rng = np.random.default_rng(0)
     batches = list(
@@ -303,11 +338,11 @@ def test_ext_graph_replay(benchmark):
 
     # -- serving decode: capture on vs off, token identity ------------
     serve_model = TransformerLM(CFG_SERVE)
-    tokens_off, tokens_on, t_dec_off, t_dec_on = _paired_decode_run(
+    stream_off, stream_on, t_dec_off, t_dec_on = _paired_decode_run(
         serve_model
     )
     decode_speedup = t_dec_off / t_dec_on
-    decode_identical = tokens_on == tokens_off
+    decode_identical = stream_on[0] == stream_off[0]
     reg_dec = MetricsRegistry()
     with use_registry(reg_dec):
         _decode_run(serve_model, True)
@@ -322,18 +357,34 @@ def test_ext_graph_replay(benchmark):
     spec_on = _speculative_tokens(serve_model, heads, True)
     spec_identical = spec_on == spec_off
 
-    # -- sliced checkpoint: identity guards force clean re-capture ----
+    # -- sliced checkpoint: the structure counter forces re-capture ---
     sliced_off = _sliced_tokens(False)
     sliced_on = _sliced_tokens(True)
     sliced_identical = sliced_on == sliced_off
+
+    # -- voted decode with early exit: one replay per exit segment ----
+    vote_model = clone_model(base_state)
+    voting = _voting(vote_model)
+    vote_off, vote_on, t_vote_off, t_vote_on = _paired_decode_run(
+        vote_model, voting=voting, confidence_threshold=VOTE_THRESHOLD
+    )
+    vote_identical = vote_on == vote_off
+    vote_early = sum(
+        int(np.frombuffer(early, dtype=bool).sum()) for _, early in vote_on[1]
+    )
 
     rows = [
         ["train step ms, re-trace every step", t_train_off * 1e3, 1.0],
         ["train step ms, captured replay", t_train_on * 1e3, train_speedup],
         ["decode step ms, capture off", t_dec_off * 1e3, 1.0],
         ["decode step ms, captured replay", t_dec_on * 1e3, decode_speedup],
+        ["voted decode step ms, capture off", t_vote_off * 1e3, 1.0],
+        ["voted decode step ms, captured replay", t_vote_on * 1e3,
+         t_vote_off / t_vote_on],
         ["train loss trajectory bit-identical", int(train_identical), 1.0],
         ["decode tokens identical", int(decode_identical), 1.0],
+        ["voted logits, exit flags and tokens identical", int(vote_identical), 1.0],
+        ["voted tokens that exited early", vote_early, 1.0],
         ["speculative tokens identical", int(spec_identical), 1.0],
         ["sliced-checkpoint tokens identical", int(sliced_identical), 1.0],
         ["decode graphs' step memory KB, per-graph sum", sum(needs) / 1024, 1.0],
@@ -347,6 +398,10 @@ def test_ext_graph_replay(benchmark):
         "decode_tokens_identical": int(decode_identical),
         "spec_tokens_identical": int(spec_identical),
         "sliced_tokens_identical": int(sliced_identical),
+        "vote_tokens_identical": int(vote_identical),
+        "vote_early_exit_tokens": vote_early,
+        "vote_step_ms_off": t_vote_off * 1e3,
+        "vote_step_ms": t_vote_on * 1e3,
         "train_captures": train_captures,
         "train_replays": train_replays,
         "decode_captures": decode_captures,
@@ -364,7 +419,8 @@ def test_ext_graph_replay(benchmark):
         "ext_graph_replay",
         "EXT: VJP graph capture/replay vs re-tracing\n"
         f"(train: batch {TRAIN_BATCH} seq {TRAIN_SEQ} window step; decode: "
-        f"batch {DECODE_BATCH} prefix {PROMPT_LEN}+ continuous greedy)",
+        f"batch {DECODE_BATCH} prefix {PROMPT_LEN}+ continuous greedy, plain "
+        f"and voted at threshold {VOTE_THRESHOLD})",
         ["configuration", "value", "ratio vs baseline"],
         rows,
         metrics=metrics,
@@ -376,6 +432,7 @@ def test_ext_graph_replay(benchmark):
             "timed_steps": TIMED_STEPS,
             "draft_k": DRAFT_K,
             "slice_ratio": SLICE_RATIO,
+            "vote_threshold": VOTE_THRESHOLD,
         },
     )
 
@@ -385,6 +442,9 @@ def test_ext_graph_replay(benchmark):
     assert decode_identical, "captured decode changed greedy tokens"
     assert spec_identical, "captured speculative decode changed tokens"
     assert sliced_identical, "captured decode on a sliced model changed tokens"
+    assert vote_identical, (
+        "captured voted decode changed logits, exit flags or tokens"
+    )
     assert len(needs) >= 3, f"memory run captured only {len(needs)} decode graphs"
     assert memory_bounded, (
         f"decode graphs hold {held} bytes > largest graph's {largest}"

@@ -14,6 +14,23 @@ import numpy as np
 
 from ..tensor import Tensor
 
+# Process-wide count of structural rewrites: every rebinding of a
+# registered Parameter, sub-Module or buffer anywhere advances it.
+# Captured graphs pin it (see ``GenerationEngine._graph_apply``), so a
+# replay after any rewrite re-captures; ``.data`` rebinds, mode switches
+# and ``requires_grad`` flips are not rewrites and leave it alone.
+_structure_version = 0
+
+
+def structure_version() -> int:
+    """The current value of the process-wide structure counter."""
+    return _structure_version
+
+
+def _structure_changed() -> None:
+    global _structure_version
+    _structure_version += 1
+
 
 class Parameter(Tensor):
     """A Tensor that is a trainable leaf of a Module."""
@@ -42,13 +59,26 @@ class Module:
     def __setattr__(self, name: str, value) -> None:
         if isinstance(value, Parameter):
             self._parameters[name] = value
+            _structure_changed()
         elif isinstance(value, Module):
             self._modules[name] = value
+            _structure_changed()
+        elif name in self._parameters or name in self._modules or name in self._buffers:
+            _structure_changed()
         object.__setattr__(self, name, value)
+
+    def __delattr__(self, name: str) -> None:
+        """Delete an attribute, unregistering it if it is a Parameter,
+        sub-Module or buffer."""
+        for registry in (self._parameters, self._modules, self._buffers):
+            if registry.pop(name, None) is not None:
+                _structure_changed()
+        object.__delattr__(self, name)
 
     def register_buffer(self, name: str, value: np.ndarray) -> None:
         """Attach non-trainable persistent state (e.g. masks, RoPE tables)."""
         self._buffers[name] = value
+        _structure_changed()
         object.__setattr__(self, name, value)
 
     # ------------------------------------------------------------------
@@ -184,7 +214,14 @@ class ModuleList(Module):
     def append(self, module: Module) -> "ModuleList":
         self._modules[str(len(self._items))] = module
         self._items.append(module)
+        _structure_changed()
         return self
+
+    def __setitem__(self, index: int, module: Module) -> None:
+        index = range(len(self._items))[index]  # IndexError when out of range
+        self._modules[str(index)] = module
+        self._items[index] = module
+        _structure_changed()
 
     def __getitem__(self, index):
         if isinstance(index, slice):

@@ -134,9 +134,8 @@ def _set_shortcut(block, name: str, q: np.ndarray, dtype) -> None:
 
 
 def _clear_shortcut(block, name: str) -> None:
-    block._buffers.pop(name, None)
     if hasattr(block, name):
-        object.__delattr__(block, name)
+        delattr(block, name)
 
 
 def _require_plain_linears(blocks) -> None:

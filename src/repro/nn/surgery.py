@@ -50,8 +50,7 @@ def _get_child(parent: Module, attr: str) -> Optional[Module]:
 
 def _set_child(parent: Module, attr: str, module: Module) -> None:
     if isinstance(parent, ModuleList):
-        parent._modules[attr] = module
-        parent._items[int(attr)] = module
+        parent[int(attr)] = module
     else:
         setattr(parent, attr, module)
 

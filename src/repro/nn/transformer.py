@@ -15,7 +15,6 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from ..tensor import Tensor, checkpoint, fused_kernels_enabled, no_grad, silu, silu_mul
-from ..tensor.tensor import _active_recorder
 from .attention import KVCache, MultiHeadAttention
 from .layers import Dropout, Embedding, Linear, RMSNorm
 from .module import Module, ModuleList
@@ -131,29 +130,19 @@ class TransformerBlock(Module):
     def forward_decode(self, x, k_prefix, v_prefix, mask, cos_t, sin_t):
         """Capture-friendly decode step (see ``MultiHeadAttention.forward_decode``).
 
-        Returns ``(x_out, k_new, v_new)``.  Sliced-block shortcut
-        rotations are identity-guarded into any in-flight graph capture:
-        replacing the buffer array invalidates captured graphs instead of
-        silently replaying the stale rotation."""
+        Returns ``(x_out, k_new, v_new)``.  A captured graph bakes the
+        shortcut rotations in; installing or removing one advances the
+        module structure counter the engine's graphs pin, so they
+        re-capture instead of replaying a stale rotation."""
         attn_out, k_new, v_new = self.attn.forward_decode(
             self.attn_norm(x), k_prefix, v_prefix, mask, cos_t, sin_t
         )
         attn_out = self.dropout(attn_out)
-        shortcut = self._guarded_shortcut("attn_shortcut_Q")
+        shortcut = getattr(self, "attn_shortcut_Q", None)
         x = (x if shortcut is None else x @ shortcut) + attn_out
         mlp_out = self.dropout(self.mlp(self.mlp_norm(x)))
-        shortcut = self._guarded_shortcut("mlp_shortcut_Q")
+        shortcut = getattr(self, "mlp_shortcut_Q", None)
         return (x if shortcut is None else x @ shortcut) + mlp_out, k_new, v_new
-
-    def _guarded_shortcut(self, name: str):
-        shortcut = getattr(self, name, None)
-        recorder = _active_recorder()
-        if recorder is not None:
-            # Guard the None case too: slicing an unsliced block *adds*
-            # the shortcut, which must invalidate graphs captured before.
-            block = self
-            recorder.add_guard(lambda: getattr(block, name, None) is shortcut)
-        return shortcut
 
 
 class TransformerLM(Module):

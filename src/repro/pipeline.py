@@ -19,6 +19,7 @@ from .adaptive import (
     StepStats,
     VotingCombiner,
 )
+from .adaptive.voting import _STRATEGIES as _VOTING_STRATEGIES
 from .dist import DistConfig, PipelineAdaptiveTrainer
 from .eval.memory import MemoryReport, model_weight_bytes
 from .hw import (
@@ -28,6 +29,7 @@ from .hw import (
     schedule_workloads,
     tuning_iteration_workload,
 )
+from .hw.search import _SEARCHERS
 from .luc import (
     LUCPolicy,
     apply_luc,
@@ -75,6 +77,21 @@ class EdgeLLMConfig:
     # shards/micro_batches and is likewise bitwise layout-invariant.
     tp: int = 1
     tp_chunks: int = 8
+
+    def __post_init__(self):
+        # Unknown names would otherwise surface only in calibrate_voting,
+        # after compress and adapt have run, or when an iteration is priced.
+        if self.voting_strategy not in _VOTING_STRATEGIES:
+            raise ValueError(
+                f"voting_strategy must be one of {_VOTING_STRATEGIES}, "
+                f"got {self.voting_strategy!r}"
+            )
+        schedules = sorted(_SEARCHERS) + ["heuristic"]
+        if self.schedule_strategy not in schedules:
+            raise ValueError(
+                f"schedule_strategy must be one of {schedules}, "
+                f"got {self.schedule_strategy!r}"
+            )
 
 
 class EdgeLLM:

@@ -19,7 +19,8 @@ request-level generation runtime:
 * **Voting decode** replaces the final head with the calibrated mixture
   of exit heads (:class:`~repro.adaptive.VotingCombiner`), computed
   through the combiner's logits-only fast path on last-position logits.
-  It runs the same blocks on the same slabs one at a time.  With a
+  It runs the same blocks on the same slabs, one segment between
+  consecutive exit points at a time.  With a
   ``confidence_threshold``, decoding exits early per row: the shallowest
   exit whose own max-probability clears the threshold decides that row's
   token, and the mixture is renormalized over the exits actually
@@ -28,14 +29,17 @@ request-level generation runtime:
   propagation) — so any later token may run the full depth.
 
 Graph capture is a cache over that one path, switched by the process-wide
-toggle (:func:`repro.tensor.graph_capture`).  With capture on, plain and
-speculative steps replay a graph captured once per (batch, bucket)
-shape, and the decode slabs persist across steps: the new token's k/v is
-written in place and the slabs are revalidated against the per-request
-blocks before reuse.  With capture off, every step re-stacks the slabs
-and traces the same build — the stateless reference the capture
-on ≡ off token tests compare against.  Voting decode is traced on the
-slabs in both modes.
+toggle (:func:`repro.tensor.graph_capture`).  With capture on, plain,
+speculative and voted steps replay a graph captured once per (batch,
+bucket) shape — voted decode one per exit segment — and the decode slabs
+persist across steps: the new token's k/v is written in place and the
+slabs are revalidated against the per-request blocks before reuse.  With
+capture off, every step re-stacks the slabs and traces the same builds —
+the stateless reference the capture on ≡ off token tests compare
+against.  Every graph pins the module structure counter
+(:func:`repro.nn.module.structure_version`), so a structural rewrite
+anywhere (slicing, surgery, a new buffer) re-captures instead of
+replaying stale structure.
 
 Determinism: a request's logits depend only on its own cache rows
 (masked padding scores underflow to exactly 0 in softmax), so decode
@@ -75,6 +79,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..nn.attention import KVCache, apply_rope
+from ..nn.module import structure_version
 from ..obs import get_registry
 from ..tensor import (
     GraphCache,
@@ -214,7 +219,7 @@ class GenerationEngine:
                 hidden = block(hidden, cache=caches[i])
                 point = i + 1
                 if point in self.voting.exit_points:
-                    per_exit[point] = self._exit_logits(point, hidden)
+                    per_exit[point] = self._exit_logits(point, hidden).data[:, -1, :]
             exit_depth = self._exit_depths(per_exit, batch=1)
             return self._combine_rows(per_exit, exit_depth)[0]
 
@@ -274,39 +279,57 @@ class GenerationEngine:
         return outs[0][:, -1, :], outs[1 : 1 + n], outs[1 + n :]
 
     def _decode_voting(self, inputs, ks, vs, lengths):
-        """Voted decode, traced block by block on the slabs.
+        """Voted decode through :meth:`_graph_apply`: one build per
+        segment between consecutive exit points, returning the segment's
+        hidden state, the exit logits at its end and its blocks' new k/v.
+        The first segment takes the token ids, later ones the previous
+        segment's hidden state.
 
-        A row leaves at its first confident exit; it keeps riding along
-        (outputs discarded) until every row has left, and each of its
-        skipped layers gets the cache entry :meth:`_propagate_kv`
-        projects from the frozen exit hidden state."""
+        Between segments, a row leaves at its first confident exit; it
+        keeps riding along (outputs discarded) until every row has left,
+        and each of its skipped layers gets the cache entry
+        :meth:`_propagate_kv` projects from the frozen exit hidden
+        state."""
         model = self.model
         n = self.num_layers
         batch = len(lengths)
-        ids, mask, cos_t, sin_t = inputs
-        mask, cos_t, sin_t = Tensor(mask), Tensor(cos_t), Tensor(sin_t)
+        fused = fused_kernels_enabled()
         per_exit: Dict[int, np.ndarray] = {}
         exit_depth = np.full(batch, n, dtype=np.int64)
         frozen: List[Optional[np.ndarray]] = [None] * batch
         new_ks: List[np.ndarray] = []
         new_vs: List[np.ndarray] = []
-        hidden = model.embed_tokens(ids)
-        for i, block in enumerate(model.blocks):
+        hidden = inputs[0]
+        start = 0
+        for stop in self.voting.exit_points:
             if (exit_depth < n).all():
                 break
-            hidden, k_new, v_new = block.forward_decode(
-                hidden, Tensor(ks[i]), Tensor(vs[i]), mask, cos_t, sin_t
+            width = stop - start
+
+            def build(tensors, start=start, stop=stop, width=width):
+                hid_t, mask_t, cos_tt, sin_tt = tensors[:4]
+                if start == 0:
+                    hid_t = model.embed_tokens(hid_t)
+                hid_t, seg_ks, seg_vs = model.run_blocks_decode(
+                    hid_t, tensors[4 : 4 + width], tensors[4 + width :],
+                    mask_t, cos_tt, sin_tt, start, stop,
+                )
+                return [hid_t, self._exit_logits(stop, hid_t)] + seg_ks + seg_vs
+
+            key = ("vote", batch, ks[0].shape[2], start, stop, fused)
+            outs = self._graph_apply(
+                key, [hidden] + inputs[1:] + ks[start:stop] + vs[start:stop], build
             )
-            new_ks.append(k_new.data)
-            new_vs.append(v_new.data)
-            point = i + 1
-            if point in self.voting.exit_points:
-                per_exit[point] = self._exit_logits(point, hidden)
-                if point < n:
-                    newly = (exit_depth == n) & self._confident(per_exit[point])
-                    exit_depth[newly] = point
-                    for b in np.flatnonzero(newly):
-                        frozen[b] = hidden.data[b, -1].copy()
+            hidden = outs[0]
+            per_exit[stop] = outs[1][:, -1, :]
+            new_ks += outs[2 : 2 + width]
+            new_vs += outs[2 + width :]
+            if stop < n:
+                newly = (exit_depth == n) & self._confident(per_exit[stop])
+                exit_depth[newly] = stop
+                for b in np.flatnonzero(newly):
+                    frozen[b] = hidden[b, -1].copy()
+            start = stop
         for layer in range(n):
             rows = np.flatnonzero(exit_depth <= layer)
             if not rows.size:
@@ -461,6 +484,7 @@ class GenerationEngine:
         graph = cache.lookup(key)
         if graph is not None:
             return graph.replay(arrays)
+        snapshot = structure_version()
         recorder = GraphRecorder()
         with recorder:
             tensors = []
@@ -469,20 +493,13 @@ class GenerationEngine:
                 recorder.add_input(t)
                 tensors.append(t)
             outputs = build(tensors)
-        # Structural rewrites (slicing, requantization) swap whole
-        # parameter objects, which per-leaf version checks cannot see;
-        # pin the parameter identity set so such rewrites force a
+        # Structural rewrites (slicing, surgery, a new buffer) swap
+        # whole objects, which per-leaf version checks cannot see; pin
+        # the module structure counter so any rewrite forces a
         # re-capture instead of a stale replay.
-        snapshot = self._param_ids()
-        recorder.add_guard(lambda: self._param_ids() == snapshot)
+        recorder.add_guard(lambda: structure_version() == snapshot)
         cache.store(key, recorder.finalize(outputs=outputs))
         return [np.asarray(o.data) for o in outputs]
-
-    def _param_ids(self) -> Tuple[int, ...]:
-        ids = [id(p) for p in self.model.parameters()]
-        if self.draft_heads is not None:
-            ids.extend(id(p) for p in self.draft_heads.parameters())
-        return tuple(ids)
 
     def _lengths(self, entries, seq: int) -> np.ndarray:
         """Per-row cache lengths, after checking that ``seq`` new
@@ -590,14 +607,13 @@ class GenerationEngine:
                 )
 
     # -- voting helpers ------------------------------------------------
-    def _exit_logits(self, point: int, hidden: Tensor) -> np.ndarray:
-        """Last-position logits ``(batch, vocab)`` for one exit point."""
+    def _exit_logits(self, point: int, hidden: Tensor) -> Tensor:
+        """Last-position logits ``(batch, 1, vocab)`` for one exit point:
+        the exit head's, or the model's own head at full depth."""
         last = hidden[:, -1:, :]
         if point == self.num_layers:
-            logits = self.model.head(last)
-        else:
-            logits = self.voting.exit_heads.logits_at(point, last)
-        return logits.data[:, -1, :]
+            return self.model.head(last)
+        return self.voting.exit_heads.logits_at(point, last)
 
     def _confident(self, logits: np.ndarray) -> np.ndarray:
         """Rows whose max softmax probability clears the threshold."""

@@ -109,3 +109,26 @@ class TestFullRun:
         )
         acc = multiple_choice_accuracy(completed.logits, qa.dataset(30))
         assert acc > 0.3
+
+
+class TestConfigValidation:
+    """Unknown strategy names fail when the config is built, not after
+    compress and adapt have run (voting) or when an iteration is priced
+    (schedule)."""
+
+    @pytest.mark.parametrize("field", ["voting_strategy", "schedule_strategy"])
+    def test_unknown_strategy_rejected(self, field):
+        with pytest.raises(ValueError, match=field):
+            EdgeLLMConfig(**{field: "bogus"})
+
+    @pytest.mark.parametrize(
+        "voting", ["calibrated", "uniform", "best", "confidence"]
+    )
+    def test_every_voting_strategy_accepted(self, voting):
+        assert EdgeLLMConfig(voting_strategy=voting).voting_strategy == voting
+
+    @pytest.mark.parametrize(
+        "schedule", ["exhaustive", "random", "evolutionary", "heuristic"]
+    )
+    def test_every_schedule_strategy_accepted(self, schedule):
+        assert EdgeLLMConfig(schedule_strategy=schedule).schedule_strategy == schedule

@@ -3,12 +3,13 @@
 Capture on (replayed graphs over persistent decode slabs) must be
 invisible next to capture off (slabs re-stacked and traced every step):
 greedy outputs are equal exactly — including across batch membership
-changes, and across structural slicing, where the graphs'
-parameter-identity guards must invalidate every stale capture.  Voting
-decode, which runs on the persistent slabs too, must match bitwise in
-its voted logits and early-exit flags.  However many shapes it has
-captured, the engine's graphs hold one step slab, sized to the largest
-graph, and none of the KV slabs they were captured on.
+changes, and across structural slicing, where the module structure
+counter every engine graph pins must invalidate every stale capture.
+Voting decode replays one graph per segment between exit points; it
+must match capture off bitwise in its voted logits and early-exit
+flags, and once warm it captures nothing more.  However many shapes it
+has captured, the engine's graphs hold one step slab, sized to the
+largest graph, and none of the KV slabs they were captured on.
 """
 
 import weakref
@@ -143,6 +144,51 @@ class TestTokenIdentity:
         assert results[True] == results[False]
 
 
+class TestVotedCapture:
+    def test_voted_steps_replay_one_graph_per_segment(
+        self, pretrained_model, pretrain_corpus
+    ):
+        """After a warm-up step, voted decode with early exit captures
+        nothing more: each step replays one graph per exit segment it
+        runs, stopping once every row has exited."""
+        voting = voter(pretrained_model, pretrain_corpus)
+        engine = GenerationEngine(
+            pretrained_model, voting=voting, confidence_threshold=EXIT_THRESHOLD
+        )
+        keys = []
+        apply = engine._graph_apply
+
+        def spy(key, arrays, build):
+            keys.append(key)
+            return apply(key, arrays, build)
+
+        engine._graph_apply = spy
+        chain = list(zip([0] + voting.exit_points[:-1], voting.exit_points))
+        entries = prefill_entries(engine)
+        with graph_capture(True):
+            greedy(engine, entries, 1)  # warm-up: captures every segment
+        assert [k[3:5] for k in keys] == chain
+        keys.clear()
+        steps = []
+        reg = MetricsRegistry()
+        with graph_capture(True), use_registry(reg):
+            greedy(engine, entries, 8, steps)
+        assert reg.counter("serve/early_exit_tokens").value > 0
+        assert reg.counter("tensor/graph/captures").value == 0
+        assert reg.counter("tensor/graph/replays").value == len(keys)
+        assert not any(engine._graphs.known_uncacheable(k) for k in keys)
+        runs = []
+        for key in keys:
+            if key[3] == 0:
+                runs.append([])
+            runs[-1].append(key[3:5])
+        assert len(runs) == len(steps)
+        for run, (_, early) in zip(runs, steps):
+            assert run == chain[: len(run)]
+            # A step stops short exactly when every row has exited.
+            assert (len(run) < len(chain)) == bool(early.all())
+
+
 class TestSlicing:
     def scenario(self, pretrained_state, corpus, capture, steps=None):
         """Decode, slice the live model, decode again on the same engine;
@@ -172,8 +218,9 @@ class TestSlicing:
         assert_steps_bitwise(steps[True], steps[False])
 
     def test_slice_invalidates_cached_graphs(self, pretrained_state, adapt_corpus):
-        """Slicing swaps parameter objects; every pre-slice decode graph
-        must fail its identity guard and be re-captured, never replayed."""
+        """Slicing swaps modules and installs shortcut buffers; every
+        pre-slice decode graph must fail its structure-counter guard and
+        be re-captured, never replayed."""
         reg = MetricsRegistry()
         with use_registry(reg):
             self.scenario(pretrained_state, adapt_corpus, True)
