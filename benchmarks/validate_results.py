@@ -15,9 +15,11 @@ Checks, all of which must pass for a zero exit status:
   output format and crashed, or a stale file survived a rename),
 * every ``--expect NAME`` has a sidecar,
 * every ``--min-metric BENCH:METRIC:THRESHOLD`` bar holds (repeatable;
-  the bench must exist as ``benchmarks/bench_<BENCH>.py`` — a stale
-  sidecar left behind by a renamed bench must not satisfy a bar — and
   the metric must exist, be numeric, and be >= the threshold).
+
+A bench named by ``--expect`` or ``--min-metric`` must also exist as
+``benchmarks/bench_<NAME>.py``: a stale sidecar left behind by a renamed
+or deleted bench satisfies neither.
 """
 
 import argparse
@@ -151,12 +153,16 @@ def validate_directory(
             f"{len(payload['metrics'])} metrics"
         )
     errors.extend(check_pairing(directory))
+    known = known_bench_names()
     for name in expect or []:
-        if name not in seen:
+        if name not in known:
+            errors.append(
+                f"--expect {name}: unknown benchmark (no "
+                f"benchmarks/bench_{name}.py; stale sidecars do not count)"
+            )
+        elif name not in seen:
             errors.append(f"{directory}: expected bench {name!r} has no sidecar")
-    errors.extend(
-        check_min_metrics(payloads, min_metrics or [], known=known_bench_names())
-    )
+    errors.extend(check_min_metrics(payloads, min_metrics or [], known=known))
     if not paths:
         errors.append(f"{directory}: no sidecars found")
     return errors

@@ -116,17 +116,6 @@ def _add_dist_args(parser: argparse.ArgumentParser) -> None:
              "separated; default: cost-balanced partition)",
     )
     parser.add_argument(
-        "--tp", type=int, default=1, metavar="T",
-        help="tensor-parallel degree: shard q/k/v/o and gate/up/down "
-             "GEMMs over partition-invariant kernels (power of two; "
-             "results are bit-identical at any degree >= 2)",
-    )
-    parser.add_argument(
-        "--tp-chunks", type=int, default=8, metavar="C",
-        help="canonical reduction-grid chunk count for --tp (fixed per "
-             "run; the TP degree must tile it)",
-    )
-    parser.add_argument(
         "--no-overlap", action="store_true",
         help="disable double-buffered boundary receives (comm/compute "
              "overlap is on by default)",
@@ -140,8 +129,6 @@ def _dist_config(args):
         shards=args.shards,
         micro_batches=args.micro_batches,
         stage_plan=args.stage_plan,
-        tp=args.tp,
-        tp_chunks=args.tp_chunks,
         overlap=not args.no_overlap,
     )
 
@@ -291,14 +278,6 @@ def cmd_adapt(args) -> int:
     from .pipeline import EdgeLLM, EdgeLLMConfig
 
     model = load_model(args.model)
-    if args.tp > 1:
-        raise SystemExit(
-            "adapt compresses the model before tuning, and tensor-"
-            "parallel sharding needs plain Linear weights; drive "
-            "repro.dist.PipelineAdaptiveTrainer with tp > 1 directly on "
-            "plain or sliced checkpoints, or use --tp with generate/"
-            "serve-sim"
-        )
     pre = _corpus(args, seed=args.language_seed)
     target = _corpus(args, seed=args.target_seed)
     rng = np.random.default_rng(args.seed)
@@ -438,7 +417,6 @@ def cmd_generate(args) -> int:
             "finish_reason": "length",
             "greedy": True,
             "shards": args.shards,
-            "tp": args.tp,
         }, indent=2))
         return 0
     voting = _serving_voting(model, args, rng)
@@ -449,37 +427,16 @@ def cmd_generate(args) -> int:
         eos_token=args.eos_token,
     )
 
-    def _serve():
-        return serve_batch(
-            model, [request], voting=voting,
-            confidence_threshold=args.confidence,
-        )[0]
-
-    if args.tp > 1:
-        # Tensor-parallel serving: every decode feature (sampling,
-        # voting, eos) composes — the sharded GEMMs are bit-identical
-        # to the in-process canonical path, and per-request RNG streams
-        # stay on the head shard (the driver).  Graph capture is
-        # disabled so projection forwards reach the process group
-        # instead of the replay cache.
-        from .dist import tp_enable
-        from .tensor import graph_capture
-
-        with tp_enable(model, args.tp, chunks=args.tp_chunks,
-                       group=True) as state:
-            with graph_capture(False):
-                result = _serve()
-            if state.group is not None:
-                state.group.publish()
-    else:
-        result = _serve()
+    result = serve_batch(
+        model, [request], voting=voting,
+        confidence_threshold=args.confidence,
+    )[0]
     print(json.dumps({
         "prompt": prompt,
         "tokens": result.tokens,
         "finish_reason": result.finish_reason,
         "early_exit_tokens": result.early_exit_tokens,
         "greedy": request.greedy,
-        "tp": args.tp,
     }, indent=2))
     return 0
 
@@ -497,7 +454,6 @@ def cmd_serve_sim(args) -> int:
         Scheduler,
         SchedulerConfig,
     )
-    from .tensor import graph_capture, graph_capture_enabled
 
     model = load_model(args.model)
     rng = np.random.default_rng(args.seed)
@@ -546,7 +502,6 @@ def cmd_serve_sim(args) -> int:
             "new_tokens": new_tokens,
             "tokens_per_s": round(new_tokens / wall, 2) if wall > 0 else 0.0,
             "shards": args.shards,
-            "tp": args.tp,
             "transfer_bytes": reg.counter("dist/transfer_bytes").value,
         }, indent=2))
         return 0
@@ -574,16 +529,6 @@ def cmd_serve_sim(args) -> int:
         draft_heads = ExitHeadSet(model, exit_points=exits, seed=args.seed)
     else:
         voting = _serving_voting(model, args, rng)
-    tp_state = None
-    if args.tp > 1:
-        from .dist import tp_enable
-
-        # Tensor-parallel serving composes with the full scheduler
-        # (sampling, voting, speculation, priorities, prefix sharing):
-        # the sharded GEMMs fan out to the rank workers on no-grad
-        # forwards and per-request RNG streams stay on the head shard.
-        tp_state = tp_enable(model, args.tp, chunks=args.tp_chunks,
-                             group=True)
     engine = GenerationEngine(
         model, voting=voting, confidence_threshold=args.confidence,
         draft_heads=draft_heads, draft_exit=args.draft_exit,
@@ -600,27 +545,20 @@ def cmd_serve_sim(args) -> int:
         SchedulerConfig(max_batch_size=args.max_batch, max_steps=10_000),
     )
 
-    try:
-        # Under TP, graph capture is off so decode forwards reach the
-        # group instead of the replay cache.
-        with graph_capture(tp_state is None and graph_capture_enabled()):
-            start = time.perf_counter()
-            pending = list(requests)
-            if not args.arrival_per_step:
-                for request in pending:
-                    scheduler.submit(request)
-                pending = []
-            while pending or not scheduler.idle:
-                for request in pending[: args.arrival_per_step or 0]:
-                    scheduler.submit(request)
-                pending = pending[args.arrival_per_step or 0:]
-                scheduler.step()
-            wall = time.perf_counter() - start
+    start = time.perf_counter()
+    pending = list(requests)
+    if not args.arrival_per_step:
+        for request in pending:
+            scheduler.submit(request)
+        pending = []
+    while pending or not scheduler.idle:
+        for request in pending[: args.arrival_per_step or 0]:
+            scheduler.submit(request)
+        pending = pending[args.arrival_per_step or 0:]
+        scheduler.step()
+    wall = time.perf_counter() - start
 
-            results = scheduler.run()
-    finally:
-        if tp_state is not None:
-            tp_state.close()
+    results = scheduler.run()
     served = [r for r in results if r.finish_reason != "rejected"]
     new_tokens = sum(len(r.tokens) for r in results)
     ttfts = [r.ttft_steps for r in served if r.ttft_steps >= 0]
@@ -642,13 +580,6 @@ def cmd_serve_sim(args) -> int:
         ),
     }
     reg = get_registry()
-    if args.tp > 1:
-        summary["tp"] = args.tp
-        summary["transfer_bytes"] = reg.counter("dist/transfer_bytes").value
-        summary["tp_fallbacks"] = reg.counter("dist/fallbacks").value
-        overlap = reg.gauge("dist/overlap_fraction").value
-        if overlap is not None:
-            summary["overlap_fraction"] = round(overlap, 4)
     if speculative:
         drafted = reg.counter("serve/spec/draft_tokens").value
         accepted = reg.counter("serve/spec/accepted_tokens").value

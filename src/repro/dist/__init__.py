@@ -1,24 +1,18 @@
-"""Sharded execution over persistent workers: pipeline + tensor parallel.
+"""Sharded execution over persistent workers: pipeline stages.
 
 Partitions a ``TransformerLM`` into contiguous block stages hosted by
 long-lived forked processes (serial in-process fallback included),
 with cost-balanced stage planning, 1F1B micro-batch scheduling for
 tuning, and request-pipelined greedy serving — all bit-identical to
-single-process execution.  Orthogonally, tensor parallelism
-(``repro.dist.tp``) shards each block's projection GEMMs column-/row-
-wise over a canonical chunk grid with partition-invariant kernels, so
-any (PP, TP, micro-batch) layout is bitwise the same run.  Boundary
-receives are double-buffered (``transport.PrefetchReceiver``) to
-overlap communication with compute.  See docs/parallelism.md.
+single-process execution.  Boundary receives are double-buffered
+(``transport.PrefetchReceiver``) to overlap communication with
+compute.  See docs/parallelism.md.
 """
 
-from .kernels import column_grid, det_matmul, subtree_aligned, tree_sum
 from .plan import (
     StagePlan,
-    choose_layout,
     model_block_costs,
     plan_for_model,
-    plan_from_config,
     plan_stages,
 )
 from .runtime import DistConfig, PipelineRunner, validate_tuning_config
@@ -26,7 +20,6 @@ from .serve import (
     SAMPLING_UNSUPPORTED_MSG,
     PipelineGenerationEngine,
 )
-from .tp import TPGroup, TPLinear, TPState, tp_enable, validate_tp
 from .trainer import PipelineAdaptiveTrainer
 from .transport import PrefetchReceiver, get_or_fallback
 from .worker import StageHost, canonical_parameters, owner_stage
@@ -40,22 +33,11 @@ __all__ = [
     "SAMPLING_UNSUPPORTED_MSG",
     "StageHost",
     "StagePlan",
-    "TPGroup",
-    "TPLinear",
-    "TPState",
     "canonical_parameters",
-    "choose_layout",
-    "column_grid",
-    "det_matmul",
     "get_or_fallback",
     "model_block_costs",
     "owner_stage",
     "plan_for_model",
-    "plan_from_config",
     "plan_stages",
-    "subtree_aligned",
-    "tp_enable",
-    "tree_sum",
-    "validate_tp",
     "validate_tuning_config",
 ]

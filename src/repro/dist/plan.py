@@ -20,7 +20,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..hw import block_costs
 from ..nn.slicing import slice_spec
-from ..nn.transformer import TransformerConfig, TransformerLM
+from ..nn.transformer import TransformerLM
 from ..parallel import derive_seed
 
 
@@ -181,109 +181,3 @@ def plan_for_model(
             )
         return plan
     return plan_stages(costs, num_stages)
-
-
-def plan_from_config(
-    config: TransformerConfig,
-    num_stages: int,
-    batch: int = 8,
-    seq: int = 32,
-) -> StagePlan:
-    """Plan from a config alone (no instantiated model, no slicing)."""
-    return plan_stages(block_costs(config, batch, seq), num_stages)
-
-
-# ----------------------------------------------------------------------
-# PP x TP layout selection
-# ----------------------------------------------------------------------
-@dataclasses.dataclass(frozen=True)
-class LayoutChoice:
-    """One scored (pipeline stages x tensor-parallel degree) layout."""
-
-    pp: int
-    tp: int
-    plan: StagePlan
-    compute_cost: float  # bottleneck stage MACs, divided across TP ranks
-    comm_cost: float  # modeled TP traffic, in MAC-equivalent units
-    total_cost: float
-
-
-def candidate_layouts(workers: int, num_layers: int,
-                      chunks: int = 8) -> List[Tuple[int, int]]:
-    """All ``(pp, tp)`` factorizations of ``workers`` this runtime can
-    execute: ``pp`` contiguous stages (at most one per block) times a
-    ``tp`` that tiles the canonical ``chunks``-grid with aligned
-    subtrees (powers of two)."""
-    from .kernels import subtree_aligned
-
-    out = []
-    for pp in range(1, min(workers, num_layers) + 1):
-        if workers % pp:
-            continue
-        tp = workers // pp
-        if tp == 1 or subtree_aligned(chunks, tp):
-            out.append((pp, tp))
-    return out
-
-
-def choose_layout(
-    model: TransformerLM,
-    workers: int,
-    batch: int = 8,
-    seq: int = 32,
-    chunks: int = 8,
-    macs_per_byte: float = 8.0,
-) -> LayoutChoice:
-    """Pick the cheapest (PP, TP) split of ``workers`` for ``model``.
-
-    Scores every executable factorization of ``workers`` on the same
-    modeled-MAC scale the stage partitioner balances: the pipeline
-    bottleneck (max stage cost over the DP-balanced plan, divided by
-    ``tp`` since each rank computes ``1/tp`` of every projection GEMM)
-    plus the per-stage tensor-parallel traffic priced by
-    :func:`repro.hw.tp_comm_bytes` at ``macs_per_byte`` MAC-equivalents
-    per transferred byte — the knob that encodes how fast the worker
-    interconnect is relative to compute.  Slow links (high
-    ``macs_per_byte``) push the choice toward pure pipeline stages;
-    fast links let TP eat the bottleneck stage.  Deterministic: ties
-    break toward fewer TP ranks, then fewer stages.
-    """
-    from ..hw import tp_comm_bytes
-
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
-    candidates = candidate_layouts(workers, model.num_layers, chunks)
-    if not candidates:
-        raise ValueError(
-            f"no executable (pp, tp) layout for workers={workers} "
-            f"over {model.num_layers} blocks and a {chunks}-chunk grid"
-        )
-    costs = model_block_costs(model, batch, seq)
-    best: Optional[LayoutChoice] = None
-    for pp, tp in candidates:
-        plan = plan_stages(costs, pp)
-        bottleneck = max(plan.stage_cost(s) for s in range(pp))
-        compute = bottleneck / tp
-        blocks_in_bottleneck = max(
-            plan.blocks(s)[1] - plan.blocks(s)[0] for s in range(pp)
-        )
-        comm = (
-            tp_comm_bytes(model.config, batch, seq, tp)
-            * blocks_in_bottleneck
-            * macs_per_byte
-        )
-        choice = LayoutChoice(
-            pp=pp, tp=tp, plan=plan,
-            compute_cost=float(compute), comm_cost=float(comm),
-            total_cost=float(compute + comm),
-        )
-        if (
-            best is None
-            or choice.total_cost < best.total_cost
-            or (
-                choice.total_cost == best.total_cost
-                and (choice.tp, choice.pp) < (best.tp, best.pp)
-            )
-        ):
-            best = choice
-    return best

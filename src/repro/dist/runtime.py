@@ -60,11 +60,6 @@ class DistConfig:
     # Force the in-process serial backend even for shards > 1 (useful
     # for tests and for machines without working process pools).
     serial: bool = False
-    # Tensor-parallel degree: shard each block's q/k/v/o + gate/up/down
-    # GEMMs over the canonical chunk grid (see repro.dist.tp).  Results
-    # are bitwise identical at any tp >= 1 over the same grid.
-    tp: int = 1
-    tp_chunks: int = 8
     # Double-buffered boundary receives (PrefetchReceiver): overlap
     # activation/gradient deserialization with stage compute.
     overlap: bool = True
@@ -74,12 +69,6 @@ class DistConfig:
             raise ValueError("shards must be >= 1")
         if self.micro_batches < 1:
             raise ValueError("micro_batches must be >= 1")
-        if self.tp < 1:
-            raise ValueError("tp must be >= 1")
-        if self.tp > 1:
-            from .tp import validate_tp
-
-            validate_tp(self.tp, self.tp_chunks)
 
 
 def validate_tuning_config(config: AdaptiveTuningConfig) -> None:

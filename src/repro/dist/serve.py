@@ -21,10 +21,9 @@ from ..obs import get_registry
 from .runtime import DistConfig, PipelineRunner
 
 SAMPLING_UNSUPPORTED_MSG = (
-    "pipeline-sharded serving is greedy-only; for sampled or voting "
-    "decode over sharded GEMMs use tensor-parallel serving (--tp N), "
-    "which routes per-request RNG streams to the head shard and is "
-    "bit-identical to the single-process engine"
+    "pipeline-sharded serving is greedy-only; for sampled, voting or "
+    "speculative decode use the single-process engine (--shards 1), "
+    "which serves every decode mode"
 )
 
 
@@ -45,20 +44,7 @@ class PipelineGenerationEngine:
     ):
         self.model = model
         self._owns_runner = runner is None
-        self._tp_state = None
-        dist = dist or DistConfig()
-        if self._owns_runner and dist.tp > 1:
-            # Shard the projection GEMMs before the runner forks its
-            # stage workers, so every stage host inherits the canonical
-            # chunked kernels (copy-on-write) and any (PP, TP) layout
-            # emits bitwise-identical activations.  The group fan-out
-            # stays off here — stage processes parallelize the blocks;
-            # TP contributes the layout-invariant arithmetic.
-            from .tp import tp_enable
-
-            self._tp_state = tp_enable(model, dist.tp, chunks=dist.tp_chunks)
         self.runner = runner or PipelineRunner(model, dist)
-        self._tp = self.runner.dist.tp
         self._iteration = 0
 
     def generate(
@@ -124,7 +110,6 @@ class PipelineGenerationEngine:
             tokens=total,
             wall_time_s=wall,
             shards=runner.plan.num_stages,
-            tp=self._tp,
             transfer_bytes=sum(r.get("recv_bytes", 0) for r in reports),
             overlap_fraction=(
                 0.0
@@ -137,9 +122,6 @@ class PipelineGenerationEngine:
     def close(self) -> None:
         if self._owns_runner:
             self.runner.close()
-        if self._tp_state is not None:
-            self._tp_state.close()
-            self._tp_state = None
 
     def __enter__(self):
         return self

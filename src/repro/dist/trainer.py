@@ -63,18 +63,6 @@ class PipelineAdaptiveTrainer:
             num_layers=model.num_layers,
         )
         self._rng = np.random.default_rng(self.config.seed)
-        # Tensor-parallel tuning shards every projection GEMM over the
-        # canonical chunk grid *before* stage hosts are built, so both
-        # backends (and every forked stage worker) run the identical
-        # partition-invariant arithmetic — losses and final weights are
-        # bitwise equal at any (PP, TP >= 2, micro) layout.
-        self._tp_state = None
-        if self.dist.tp > 1:
-            from .tp import tp_enable
-
-            self._tp_state = tp_enable(
-                model, self.dist.tp, chunks=self.dist.tp_chunks
-            )
         self.runner = PipelineRunner(
             model, self.dist, self.config, self.exit_heads
         )
@@ -131,7 +119,6 @@ class PipelineAdaptiveTrainer:
             grad_blocks=stats.grad_blocks,
             forward_blocks=stats.forward_blocks,
             shards=self.runner.plan.num_stages,
-            tp=self.dist.tp,
             micro_batches=self.dist.micro_batches,
             transfer_bytes=report["transfer_bytes"],
             bubble_fraction=report["bubble_fraction"],
@@ -217,11 +204,6 @@ class PipelineAdaptiveTrainer:
 
     def close(self) -> None:
         self.runner.close()
-        if self._tp_state is not None:
-            # Restores plain Linears; weights are the same Parameter
-            # objects, so the tuned state survives the unshard.
-            self._tp_state.close()
-            self._tp_state = None
 
     def __enter__(self):
         return self

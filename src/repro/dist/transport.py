@@ -186,7 +186,7 @@ def get_or_fallback(source, timeout_s: float, fallback):
 
     On timeout the ``dist/fallbacks`` counter is bumped and
     ``fallback()`` supplies the result — the pattern every process-
-    backed path in ``repro.dist`` follows (pipeline start, TP groups).
+    backed path in ``repro.dist`` follows.
     """
     try:
         return source.get(timeout=timeout_s)

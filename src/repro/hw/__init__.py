@@ -22,7 +22,6 @@ from .cost_model import (
     gemm_cost,
     memoized_gemm_cost,
     objective_value,
-    tp_comm_bytes,
 )
 from .elementwise import (
     ElementwiseWorkload,
@@ -71,7 +70,6 @@ __all__ = [
     "gemm_cost",
     "memoized_gemm_cost",
     "objective_value",
-    "tp_comm_bytes",
     "IterationCost",
     "ScheduledGEMM",
     "schedule_workloads",

@@ -133,40 +133,6 @@ def memoized_gemm_cost(
     )
 
 
-def tp_comm_bytes(
-    config, batch: int, seq: int, tp: int, dtype_bytes: int = 4
-) -> float:
-    """Per-block tensor-parallel communication volume, in bytes.
-
-    Models exactly the traffic the ``repro.dist.tp`` fan-out moves for
-    one transformer block: for every sharded projection the driver
-    broadcasts the GEMM input to the ``tp - 1`` worker ranks and
-    receives their outputs back — a column shard returns its ``1/tp``
-    slice of the output channels, a row shard returns a full-width
-    partial product (the all-reduce operand).  Widths follow the
-    config's *resolved* dims, so GQA-narrowed k/v projections and
-    sliced checkpoints price their true traffic.
-
-    This is the comm-volume term :func:`repro.dist.plan.choose_layout`
-    weighs against pipeline stage balance when picking a PP×TP layout.
-    """
-    if tp <= 1:
-        return 0.0
-    dim = config.dim
-    kv = config.resolved_kv_dim()
-    hidden = config.resolved_mlp_hidden()
-    per_token = 0.0
-    # column shards: q, k, v, gate, up — input broadcast + output slices
-    for in_f, out_f in (
-        (dim, dim), (dim, kv), (dim, kv), (dim, hidden), (dim, hidden)
-    ):
-        per_token += (tp - 1) * in_f + (tp - 1) * out_f / tp
-    # row shards: o, down — input broadcast + full-width partials back
-    for in_f, out_f in ((dim, dim), (hidden, dim)):
-        per_token += (tp - 1) * in_f + (tp - 1) * out_f
-    return per_token * batch * seq * dtype_bytes
-
-
 def objective_value(report: CostReport, objective: str = "latency") -> float:
     """Scalarize a cost report (latency | energy | edp)."""
     if objective == "latency":

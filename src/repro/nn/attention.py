@@ -337,19 +337,6 @@ class MultiHeadAttention(Module):
         self.register_buffer("rope_cos", cos)
         self.register_buffer("rope_sin", sin)
 
-    @staticmethod
-    def tp_shardable():
-        """Projection attributes ``repro.dist.tp`` may shard, with their
-        Megatron-style orientation: q/k/v partition output channels
-        ("col"), the o projection partitions the contraction dim ("row")
-        so per-rank partials combine in one reduction per sublayer."""
-        return (
-            ("q_proj", "col"),
-            ("k_proj", "col"),
-            ("v_proj", "col"),
-            ("o_proj", "row"),
-        )
-
     def _split_heads(self, x: Tensor, num_heads: Optional[int] = None) -> Tensor:
         batch, seq, _ = x.shape
         heads = num_heads or self.num_heads

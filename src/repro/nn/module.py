@@ -57,13 +57,30 @@ class Module:
     # registration
     # ------------------------------------------------------------------
     def __setattr__(self, name: str, value) -> None:
+        """Bind an attribute; a name holds at most one registration.
+
+        A Parameter or Module value registers under its own kind.
+        Rebinding a registered name drops its old entry, except that an
+        ndarray bound to a buffer name stays that buffer; any other
+        value leaves the name unregistered.
+        """
         if isinstance(value, Parameter):
+            self._modules.pop(name, None)
+            self._buffers.pop(name, None)
             self._parameters[name] = value
             _structure_changed()
         elif isinstance(value, Module):
+            self._parameters.pop(name, None)
+            self._buffers.pop(name, None)
             self._modules[name] = value
             _structure_changed()
         elif name in self._parameters or name in self._modules or name in self._buffers:
+            self._parameters.pop(name, None)
+            self._modules.pop(name, None)
+            if name in self._buffers and isinstance(value, np.ndarray):
+                self._buffers[name] = value
+            else:
+                self._buffers.pop(name, None)
             _structure_changed()
         object.__setattr__(self, name, value)
 

@@ -58,18 +58,6 @@ class SwiGLUMLP(Module):
         self.up_proj = Linear(dim, hidden, bias=False, rng=rng)
         self.down_proj = Linear(hidden, dim, bias=False, rng=rng)
 
-    @staticmethod
-    def tp_shardable():
-        """Projections ``repro.dist.tp`` may shard: gate/up partition
-        the hidden dim ("col") so the SiLU gating stays rank-local,
-        down partitions the contraction ("row") — one reduction per
-        sublayer."""
-        return (
-            ("gate_proj", "col"),
-            ("up_proj", "col"),
-            ("down_proj", "row"),
-        )
-
     def forward(self, x: Tensor) -> Tensor:
         if fused_kernels_enabled():
             return self.down_proj(silu_mul(self.gate_proj(x), self.up_proj(x)))
@@ -94,18 +82,6 @@ class TransformerBlock(Module):
         self.mlp_norm = RMSNorm(config.dim)
         self.mlp = SwiGLUMLP(config.dim, config.resolved_mlp_hidden(), rng=rng)
         self.dropout = Dropout(config.dropout)
-
-    def tp_shardable(self):
-        """All (submodule, attribute, orientation) projection sites
-        tensor parallelism may shard in this block — the contract
-        ``repro.dist.tp.tp_enable`` walks.  Widths are read from the
-        live Linears, so structurally sliced blocks shard their sliced
-        dims."""
-        return tuple(
-            ("attn", attr, mode) for attr, mode in self.attn.tp_shardable()
-        ) + tuple(
-            ("mlp", attr, mode) for attr, mode in self.mlp.tp_shardable()
-        )
 
     def forward(
         self,

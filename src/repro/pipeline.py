@@ -73,10 +73,6 @@ class EdgeLLMConfig:
     shards: int = 1
     micro_batches: int = 1
     stage_plan: Optional[str] = None
-    # tensor-parallel GEMM sharding (repro.dist.tp); composes with
-    # shards/micro_batches and is likewise bitwise layout-invariant.
-    tp: int = 1
-    tp_chunks: int = 8
 
     def __post_init__(self):
         # Unknown names would otherwise surface only in calibrate_voting,
@@ -92,6 +88,13 @@ class EdgeLLMConfig:
                 f"schedule_strategy must be one of {schedules}, "
                 f"got {self.schedule_strategy!r}"
             )
+        # Built once here so DistConfig's checks reject a bad shard or
+        # micro-batch count at construction; adapt() runs this object.
+        self.dist = DistConfig(
+            shards=self.shards,
+            micro_batches=self.micro_batches,
+            stage_plan=self.stage_plan,
+        )
 
 
 class EdgeLLM:
@@ -194,17 +197,9 @@ class EdgeLLM:
         """
         if self.trainer is None:
             cfg = self.config
-            if cfg.shards > 1 or cfg.micro_batches > 1 or cfg.tp > 1:
+            if cfg.dist.shards > 1 or cfg.dist.micro_batches > 1:
                 self.trainer = PipelineAdaptiveTrainer(
-                    self.model,
-                    cfg.tuning,
-                    DistConfig(
-                        shards=cfg.shards,
-                        micro_batches=cfg.micro_batches,
-                        stage_plan=cfg.stage_plan,
-                        tp=cfg.tp,
-                        tp_chunks=cfg.tp_chunks,
-                    ),
+                    self.model, cfg.tuning, cfg.dist
                 )
             else:
                 self.trainer = AdaptiveLayerTrainer(self.model, self.config.tuning)

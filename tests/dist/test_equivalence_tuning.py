@@ -140,3 +140,29 @@ class TestShardEquivalence:
         )
         assert ref_losses == wide_losses
         assert_states_equal(ref_state, wide_state)
+
+
+class TestTuningLayouts:
+    def test_losses_and_weights_bitwise_across_layouts(
+        self, pretrained_state, adapt_corpus
+    ):
+        """At a fixed micro-batch count the stage count and the backend
+        are layout only: losses AND the final weights' bytes equal the
+        one-stage anchor at every (shards, serial) layout."""
+        data = batches(adapt_corpus, n=3)
+        state = make_model(pretrained_state).state_dict()
+
+        def run(dist):
+            losses, weights = run_dist(state, data, dist)
+            return losses, {k: v.tobytes() for k, v in weights.items()}
+
+        ref_losses, ref_weights = run(DistConfig(shards=1, micro_batches=2))
+        layouts = [
+            DistConfig(shards=2, micro_batches=2),
+            DistConfig(shards=2, micro_batches=2, serial=True),
+            DistConfig(shards=3, micro_batches=2, serial=True),
+        ]
+        for dist in layouts:
+            losses, weights = run(dist)
+            assert losses == ref_losses, dist
+            assert weights == ref_weights, dist

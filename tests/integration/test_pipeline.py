@@ -112,9 +112,9 @@ class TestFullRun:
 
 
 class TestConfigValidation:
-    """Unknown strategy names fail when the config is built, not after
-    compress and adapt have run (voting) or when an iteration is priced
-    (schedule)."""
+    """Unknown strategy names and shard layouts fail when the config is
+    built, not after compress and adapt have run (voting, shards) or
+    when an iteration is priced (schedule)."""
 
     @pytest.mark.parametrize("field", ["voting_strategy", "schedule_strategy"])
     def test_unknown_strategy_rejected(self, field):
@@ -132,3 +132,12 @@ class TestConfigValidation:
     )
     def test_every_schedule_strategy_accepted(self, schedule):
         assert EdgeLLMConfig(schedule_strategy=schedule).schedule_strategy == schedule
+
+    @pytest.mark.parametrize("layout", [
+        {"shards": 0},
+        {"micro_batches": 0},
+        {"shards": -3, "micro_batches": -1},
+    ])
+    def test_shard_layout_below_one_rejected(self, layout):
+        with pytest.raises(ValueError, match="must be >= 1"):
+            EdgeLLMConfig(**layout)

@@ -1,11 +1,15 @@
 """Unit tests for the benchmark sidecar validator's metric bars."""
 
+import json
+
 import pytest
 
+from benchmarks.common import SIDECAR_SCHEMA_VERSION
 from benchmarks.validate_results import (
     check_min_metrics,
     known_bench_names,
     parse_min_metric,
+    validate_directory,
 )
 
 
@@ -76,3 +80,20 @@ class TestMinMetrics:
             [_payload()], ["ext_slicing:nope:1.3"], known=known
         )
         assert errors and "no metric" in errors[0]
+
+
+class TestExpect:
+    def test_stale_sidecar_does_not_satisfy_expect(self, tmp_path):
+        # A valid, paired sidecar whose bench module is gone.
+        sidecar = {
+            "bench": "ghost", "title": "t",
+            "schema_version": SIDECAR_SCHEMA_VERSION,
+            "headers": ["a"], "rows": [{"a": 1}],
+            "metrics": {}, "config": {},
+        }
+        (tmp_path / "ghost.json").write_text(json.dumps(sidecar))
+        (tmp_path / "ghost.txt").write_text("t\n")
+        assert validate_directory(str(tmp_path)) == []
+        errors = validate_directory(str(tmp_path), expect=["ghost"])
+        assert len(errors) == 1
+        assert "bench_ghost.py" in errors[0]

@@ -55,6 +55,26 @@ class TestRegistration:
         sub = ml[1:3]
         assert len(sub) == 2
 
+    def test_rebinding_a_registered_name_drops_its_old_entry(self):
+        model = Toy()
+        model.fc2 = None
+        assert [n for n, _ in model.named_parameters()] == [
+            "fc1.weight", "fc1.bias",
+        ]
+        assert set(model.state_dict()) == {"fc1.weight", "fc1.bias"}
+        # a Parameter rebound over a sub-module registers as a parameter
+        model.fc1 = Parameter(np.zeros(3))
+        assert [n for n, _ in model.named_parameters()] == ["fc1"]
+        assert model.children() == []
+
+    def test_rebinding_a_buffer_keeps_it_with_the_new_value(self):
+        module = Module()
+        module.register_buffer("mask", np.ones(2))
+        module.mask = np.zeros(2)
+        assert np.array_equal(module.state_dict()["mask"], np.zeros(2))
+        module.mask = None
+        assert "mask" not in module.state_dict()
+
 
 class TestModes:
     def test_train_eval_propagates(self):
@@ -120,7 +140,6 @@ class TestStateDict:
         state = model.state_dict()
         state["fc1.weight"][:] = 123.0
         assert not np.allclose(model.fc1.weight.data, 123.0)
-
 
 class TestSequential:
     def test_forward_chains(self):
