@@ -17,10 +17,9 @@ backward compute and activation memory scale with the window, which is the
 mechanism behind the paper's speedup and memory claims.
 
 That is the only train-step path; ``checkpoint_blocks`` is the one
-execution switch on the config.  Graph capture and the fused kernels
-follow the process-wide toggles (:func:`repro.tensor.graph_capture`,
-:func:`repro.tensor.fused_kernels`), and a replayed step is bitwise the
-traced one.
+execution switch on the config.  Graph capture follows the process-wide
+toggle (:func:`repro.tensor.graph_capture`), and a replayed step is
+bitwise the traced one.
 """
 
 from __future__ import annotations
@@ -41,7 +40,6 @@ from ..tensor import (
     GraphRecorder,
     Tensor,
     cross_entropy,
-    fused_kernels_enabled,
     graph_capture_enabled,
     no_grad,
     profile_tape,
@@ -255,7 +253,6 @@ class AdaptiveLayerTrainer:
             window.exit_point,
             ids.shape,
             tgt.shape,
-            fused_kernels_enabled(),
         )
         cache = self._graph_cache
         if cache.known_uncacheable(key):

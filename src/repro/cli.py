@@ -71,20 +71,13 @@ def _add_runtime_args(parser: argparse.ArgumentParser) -> None:
         help="disable VJP graph capture/replay (always re-trace; "
              "results are identical either way)",
     )
-    parser.add_argument(
-        "--no-arena", action="store_true",
-        help="disable the step-scoped arena allocator (allocate fresh "
-             "buffers every step)",
-    )
 
 
 def _apply_runtime_args(args) -> None:
-    from .tensor import set_arena_enabled, set_graph_capture
+    from .tensor import set_graph_capture
 
     if getattr(args, "no_graph_capture", False):
         set_graph_capture(False)
-    if getattr(args, "no_arena", False):
-        set_arena_enabled(False)
 
 
 def _add_parallel_args(parser: argparse.ArgumentParser) -> None:
@@ -115,6 +108,11 @@ def _add_dist_args(parser: argparse.ArgumentParser) -> None:
         help="manual stage boundaries (interior block indices, comma-"
              "separated; default: cost-balanced partition)",
     )
+
+
+def _add_overlap_args(parser: argparse.ArgumentParser) -> None:
+    # Only the serving commands take it: _dist_config passes it on, and
+    # tuning has no overlap setting.
     parser.add_argument(
         "--no-overlap", action="store_true",
         help="disable double-buffered boundary receives (comm/compute "
@@ -723,6 +721,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_telemetry_args(p)
     _add_runtime_args(p)
     _add_dist_args(p)
+    _add_overlap_args(p)
     p.add_argument("--model", required=True)
     p.add_argument("--prompt", type=int, nargs="+", default=None,
                    help="prompt token ids (default: sample from the corpus)")
@@ -750,6 +749,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_telemetry_args(p)
     _add_runtime_args(p)
     _add_dist_args(p)
+    _add_overlap_args(p)
     p.add_argument("--model", required=True)
     p.add_argument("--requests", type=int, default=16)
     p.add_argument("--prompt-len", type=int, default=8)

@@ -17,13 +17,6 @@ def xavier_uniform(rng: np.random.Generator, shape) -> np.ndarray:
     return rng.uniform(-limit, limit, shape).astype(np.float32)
 
 
-def kaiming_uniform(rng: np.random.Generator, shape) -> np.ndarray:
-    """He uniform, suited to ReLU-family activations."""
-    fan_in, _ = _fans(shape)
-    limit = float(np.sqrt(3.0 / fan_in))
-    return rng.uniform(-limit, limit, shape).astype(np.float32)
-
-
 def zeros(shape) -> np.ndarray:
     return np.zeros(shape, dtype=np.float32)
 

@@ -1,4 +1,4 @@
-"""Primitive NN layers: Linear, Embedding, norms, Dropout."""
+"""Primitive NN layers: Linear, Embedding, RMSNorm, Dropout."""
 
 from __future__ import annotations
 
@@ -10,8 +10,6 @@ from ..tensor import (
     Tensor,
     dropout as dropout_fn,
     embedding as embedding_fn,
-    fused_kernels_enabled,
-    layer_norm as layer_norm_fn,
     rms_norm as rms_norm_fn,
 )
 from . import init
@@ -72,29 +70,6 @@ class Embedding(Module):
         return f"num={self.num_embeddings}, dim={self.embedding_dim}"
 
 
-class LayerNorm(Module):
-    """Standard layer normalization over the last axis."""
-
-    def __init__(self, dim: int, eps: float = 1e-5):
-        super().__init__()
-        self.dim = dim
-        self.eps = eps
-        self.weight = Parameter(init.ones((dim,)))
-        self.bias = Parameter(init.zeros((dim,)))
-
-    def forward(self, x: Tensor) -> Tensor:
-        if fused_kernels_enabled():
-            return layer_norm_fn(x, self.weight, self.bias, self.eps)
-        mu = x.mean(axis=-1, keepdims=True)
-        centered = x - mu
-        var = (centered * centered).mean(axis=-1, keepdims=True)
-        normed = centered * ((var + self.eps) ** -0.5)
-        return normed * self.weight + self.bias
-
-    def extra_repr(self) -> str:
-        return f"dim={self.dim}"
-
-
 class RMSNorm(Module):
     """Root-mean-square norm (LLaMA-style, no mean subtraction / bias)."""
 
@@ -105,10 +80,7 @@ class RMSNorm(Module):
         self.weight = Parameter(init.ones((dim,)))
 
     def forward(self, x: Tensor) -> Tensor:
-        if fused_kernels_enabled():
-            return rms_norm_fn(x, self.weight, self.eps)
-        ms = (x * x).mean(axis=-1, keepdims=True)
-        return x * ((ms + self.eps) ** -0.5) * self.weight
+        return rms_norm_fn(x, self.weight, self.eps)
 
     def extra_repr(self) -> str:
         return f"dim={self.dim}"

@@ -14,7 +14,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from ..tensor import Tensor, checkpoint, fused_kernels_enabled, no_grad, silu, silu_mul
+from ..tensor import Tensor, checkpoint, no_grad, silu_mul
 from .attention import KVCache, MultiHeadAttention
 from .layers import Dropout, Embedding, Linear, RMSNorm
 from .module import Module, ModuleList
@@ -59,9 +59,7 @@ class SwiGLUMLP(Module):
         self.down_proj = Linear(hidden, dim, bias=False, rng=rng)
 
     def forward(self, x: Tensor) -> Tensor:
-        if fused_kernels_enabled():
-            return self.down_proj(silu_mul(self.gate_proj(x), self.up_proj(x)))
-        return self.down_proj(silu(self.gate_proj(x)) * self.up_proj(x))
+        return self.down_proj(silu_mul(self.gate_proj(x), self.up_proj(x)))
 
 
 class TransformerBlock(Module):

@@ -85,7 +85,6 @@ from ..tensor import (
     GraphCache,
     GraphRecorder,
     Tensor,
-    fused_kernels_enabled,
     graph_capture_enabled,
     no_grad,
 )
@@ -274,7 +273,7 @@ class GenerationEngine:
             )
             return [model.head(hidden)] + new_ks + new_vs
 
-        key = ("decode", len(inputs[0]), ks[0].shape[2], fused_kernels_enabled())
+        key = ("decode", len(inputs[0]), ks[0].shape[2])
         outs = self._graph_apply(key, inputs + ks + vs, build)
         return outs[0][:, -1, :], outs[1 : 1 + n], outs[1 + n :]
 
@@ -293,7 +292,6 @@ class GenerationEngine:
         model = self.model
         n = self.num_layers
         batch = len(lengths)
-        fused = fused_kernels_enabled()
         per_exit: Dict[int, np.ndarray] = {}
         exit_depth = np.full(batch, n, dtype=np.int64)
         frozen: List[Optional[np.ndarray]] = [None] * batch
@@ -316,7 +314,7 @@ class GenerationEngine:
                 )
                 return [hid_t, self._exit_logits(stop, hid_t)] + seg_ks + seg_vs
 
-            key = ("vote", batch, ks[0].shape[2], start, stop, fused)
+            key = ("vote", batch, ks[0].shape[2], start, stop)
             outs = self._graph_apply(
                 key, [hidden] + inputs[1:] + ks[start:stop] + vs[start:stop], build
             )
@@ -403,7 +401,6 @@ class GenerationEngine:
         bucket = self._bucket_len(int(lengths0.max()), k + 1)
         ks, vs = self._stack_caches(entries, bucket)
         shallow_k, shallow_v = ks[:d], vs[:d]
-        fused = fused_kernels_enabled()
         tokens = np.array([e.last_token for e in entries], dtype=np.int64)
         drafts = np.empty((batch, k), dtype=np.int64)
         taps: List[np.ndarray] = []
@@ -413,7 +410,7 @@ class GenerationEngine:
             cos_t, sin_t = self._rope_slices(lengths0 + j, 1)
             arrays = [tokens[:, None], mask, cos_t, sin_t] + shallow_k + shallow_v
             want_logits = j < k
-            key = ("draft", batch, bucket, j, d, want_logits, fused)
+            key = ("draft", batch, bucket, j, d, want_logits)
 
             def build(tensors, want_logits=want_logits):
                 ids_t, mask_t, cos_tt, sin_tt = tensors[:4]
@@ -442,7 +439,7 @@ class GenerationEngine:
         mask = (k_pos > q_pos)[None, None, :, :] | pad[:, None, None, :]
         cos_t, sin_t = self._rope_slices(lengths0, k + 1)
         suffix = np.concatenate(taps, axis=1)
-        key = ("verify", batch, bucket, k, d, fused)
+        key = ("verify", batch, bucket, k, d)
 
         def build_verify(tensors):
             hid_t, mask_t, cos_tt, sin_tt = tensors[:4]

@@ -11,30 +11,19 @@ from .tensor import (
     where,
 )
 from .functional import (
-    bias_act,
     cross_entropy,
     dropout,
     embedding,
-    fused_kernels,
-    fused_kernels_enabled,
     gelu,
-    layer_norm,
     log_softmax,
     masked_fill,
     nll_from_logits,
     rms_norm,
-    set_fused_kernels,
     silu,
     silu_mul,
     softmax,
 )
-from .arena import (
-    Arena,
-    arena_enabled,
-    arena_scope,
-    get_arena,
-    set_arena_enabled,
-)
+from .arena import Arena, get_arena
 from .graph import (
     Graph,
     GraphCache,
@@ -42,11 +31,6 @@ from .graph import (
     graph_capture,
     graph_capture_enabled,
     set_graph_capture,
-)
-from .fusion import (
-    graph_fusion,
-    graph_fusion_enabled,
-    set_graph_fusion,
 )
 from .checkpoint import checkpoint
 from .gradcheck import check_gradients, numerical_gradient
@@ -69,11 +53,6 @@ __all__ = [
     "silu",
     "silu_mul",
     "rms_norm",
-    "layer_norm",
-    "bias_act",
-    "fused_kernels",
-    "fused_kernels_enabled",
-    "set_fused_kernels",
     "embedding",
     "dropout",
     "masked_fill",
@@ -88,12 +67,6 @@ __all__ = [
     "graph_capture",
     "graph_capture_enabled",
     "set_graph_capture",
-    "graph_fusion",
-    "graph_fusion_enabled",
-    "set_graph_fusion",
     "Arena",
-    "arena_enabled",
-    "arena_scope",
     "get_arena",
-    "set_arena_enabled",
 ]

@@ -18,15 +18,11 @@ at once.  A graph replayed outside any cache gets a private slab.
 
 :class:`Arena` is the process-wide accounting: ``bytes_reserved`` counts
 every slab byte ever allocated (also on the
-``tensor/arena/bytes_reserved`` counter).  The toggle is a contextvar,
-mirroring grad mode and fused kernels; with it off, replays let every op
-allocate its own output.
+``tensor/arena/bytes_reserved`` counter).
 """
 
 from __future__ import annotations
 
-import contextlib
-import contextvars
 import weakref
 from typing import List, Optional, Sequence, Tuple
 
@@ -36,32 +32,6 @@ from ..obs import get_registry
 
 # Byte alignment of the slab base and of every step's offset in it.
 ALIGN = 64
-
-_ARENA_ENABLED: contextvars.ContextVar = contextvars.ContextVar(
-    "repro_arena_enabled", default=True
-)
-
-
-def arena_enabled() -> bool:
-    """Whether graph replays should write step outputs into slabs."""
-    return _ARENA_ENABLED.get()
-
-
-def set_arena_enabled(enabled: bool) -> bool:
-    """Enable/disable the arena for this context; returns the previous value."""
-    previous = _ARENA_ENABLED.get()
-    _ARENA_ENABLED.set(bool(enabled))
-    return previous
-
-
-@contextlib.contextmanager
-def arena_scope(enabled: bool = True):
-    """Context manager scoping the arena toggle."""
-    token = _ARENA_ENABLED.set(bool(enabled))
-    try:
-        yield
-    finally:
-        _ARENA_ENABLED.reset(token)
 
 
 class Arena:

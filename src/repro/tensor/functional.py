@@ -2,7 +2,9 @@
 
 These are the numerically careful building blocks the transformer stack
 needs: stable softmax / log-softmax, a fused cross-entropy (the dominant op
-in LM training), GELU/SiLU activations, embedding gather, and dropout.
+in LM training), GELU/SiLU activations, the fused SwiGLU gate and RMSNorm
+(the kernels ``SwiGLUMLP`` and ``RMSNorm`` call), embedding gather, and
+dropout.
 
 Every kernel here is an explicit :class:`~repro.tensor.tensor.Op` so the
 graph capture layer (:mod:`repro.tensor.graph`) can record and replay it.
@@ -16,8 +18,6 @@ any capture in progress uncacheable.
 
 from __future__ import annotations
 
-import contextlib
-import contextvars
 from typing import Optional
 
 import numpy as np
@@ -25,38 +25,6 @@ import numpy as np
 from .tensor import Op, Tensor, _ensure_tensor, _unbroadcast, apply_op
 
 _SQRT_2_OVER_PI = float(np.sqrt(2.0 / np.pi))
-
-# Context-local toggle for the fused normalization / activation kernels
-# below.  The fused forwards replay the exact numpy op sequence of the
-# composed implementations, so flipping this never changes forward values —
-# it only trades many small tape nodes for one fused node per call.  A
-# contextvar (not a module global) so threaded serve/test paths can't race
-# each other's ``fused_kernels()`` scopes.
-_FUSED_ENABLED: contextvars.ContextVar = contextvars.ContextVar(
-    "repro_fused_kernels", default=True
-)
-
-
-def fused_kernels_enabled() -> bool:
-    """Whether layers should route through the fused kernels."""
-    return _FUSED_ENABLED.get()
-
-
-def set_fused_kernels(enabled: bool) -> bool:
-    """Enable/disable fused kernels for this context; returns the previous value."""
-    previous = _FUSED_ENABLED.get()
-    _FUSED_ENABLED.set(bool(enabled))
-    return previous
-
-
-@contextlib.contextmanager
-def fused_kernels(enabled: bool = True):
-    """Context manager scoping the fused-kernel toggle."""
-    token = _FUSED_ENABLED.set(bool(enabled))
-    try:
-        yield
-    finally:
-        _FUSED_ENABLED.reset(token)
 
 
 class SoftmaxOp(Op):
@@ -137,7 +105,6 @@ class CrossEntropyOp(Op):
 
 class GeluOp(Op):
     name = "gelu"
-    elementwise = True
 
     def forward(self, inputs, attrs, out=None):
         d = inputs[0]
@@ -156,7 +123,6 @@ class GeluOp(Op):
 
 class SiluOp(Op):
     name = "silu"
-    elementwise = True
 
     def forward(self, inputs, attrs, out=None):
         d = inputs[0]
@@ -178,7 +144,6 @@ class SiluMulOp(Op):
     """
 
     name = "silu_mul"
-    elementwise = True
 
     def forward(self, inputs, attrs, out=None):
         ad, bd = inputs
@@ -199,10 +164,11 @@ class SiluMulOp(Op):
 class RmsNormOp(Op):
     """Fused RMSNorm ``x * (mean(x²) + eps)^-½ * weight`` as one tape node.
 
-    Bit-equivalent to the composed layer implementation: forward mirrors
-    its exact numpy op order (including the float32 conversion of scalar
-    constants done by ``Tensor.__init__``), backward mirrors the composed
-    per-tensor gradient accumulation order (weight before x).
+    Bit-equivalent to the composed tensor chain
+    ``x * ((x * x).mean(-1, keepdims=True) + eps) ** -0.5 * weight``:
+    forward mirrors its exact numpy op order (including the float32
+    conversion of scalar constants done by ``Tensor.__init__``), backward
+    mirrors its per-tensor gradient accumulation order (weight before x).
     """
 
     name = "rms_norm"
@@ -231,90 +197,6 @@ class RmsNormOp(Op):
             gsq = np.broadcast_to(gs, xd.shape).astype(xd.dtype)
             g2 = gsq * xd
             yield 0, (g1 + g2) + g2
-
-
-class LayerNormOp(Op):
-    """Fused LayerNorm over the last axis as one tape node.
-
-    Bit-equivalent to the composed layer implementation (see
-    :class:`RmsNormOp` for the equivalence discipline); VJP order is bias,
-    weight, then x.
-    """
-
-    name = "layer_norm"
-
-    def forward(self, inputs, attrs, out=None):
-        xd, wd, bd = inputs
-        inv_n = np.float32(1.0 / xd.shape[-1])
-        epsf = np.float32(attrs)
-        mu = xd.sum(axis=-1, keepdims=True) * inv_n
-        ct = xd - mu
-        sq = ct * ct
-        t = sq.sum(axis=-1, keepdims=True) * inv_n + epsf
-        r = t**-0.5
-        nm = ct * r
-        out_data = nm * wd + bd
-        return out_data, (xd, wd, bd.shape, inv_n, ct, t, r, nm)
-
-    def vjp(self, ctx, grad, needs):
-        xd, wd, b_shape, inv_n, ct, t, r, nm = ctx
-        if needs[2]:
-            yield 2, _unbroadcast(grad, b_shape)
-        if needs[1]:
-            yield 1, _unbroadcast(grad * nm, wd.shape)
-        if needs[0]:
-            gnm = grad * wd
-            g1 = gnm * r
-            gr = (gnm * ct).sum(axis=-1, keepdims=True)
-            gs = (gr * -0.5 * t**-1.5) * inv_n
-            gsq = np.broadcast_to(gs, xd.shape).astype(xd.dtype)
-            g2 = gsq * ct
-            gct = (g1 + g2) + g2
-            gs1 = (-gct).sum(axis=-1, keepdims=True) * inv_n
-            gx2 = np.broadcast_to(gs1, xd.shape).astype(xd.dtype)
-            yield 0, gct + gx2
-
-
-class BiasActOp(Op):
-    """Fused ``act(x + bias)`` (``gelu``/``silu``/``relu``) as one tape node.
-
-    Parents are ``(x,)`` or ``(x, bias)``; VJP order is x before bias,
-    matching the composed broadcast-add + activation chain.
-    """
-
-    name = "bias_act"
-    elementwise = True
-
-    def forward(self, inputs, attrs, out=None):
-        act = attrs
-        d = inputs[0] if len(inputs) == 1 else inputs[0] + inputs[1]
-        if act == "gelu":
-            inner = _SQRT_2_OVER_PI * (d + 0.044715 * d**3)
-            extra = np.tanh(inner)
-            out_data = 0.5 * d * (1.0 + extra)
-        elif act == "silu":
-            extra = 0.5 * (1.0 + np.tanh(0.5 * d))
-            out_data = d * extra
-        else:  # relu
-            extra = d > 0
-            out_data = d * extra
-        shapes = tuple(a.shape for a in inputs)
-        return out_data, (act, d, extra, shapes)
-
-    def vjp(self, ctx, grad, needs):
-        act, d, extra, shapes = ctx
-        if act == "gelu":
-            dinner = _SQRT_2_OVER_PI * (1.0 + 3 * 0.044715 * d**2)
-            dt = (1.0 - extra**2) * dinner
-            gt = grad * (0.5 * (1.0 + extra) + 0.5 * d * dt)
-        elif act == "silu":
-            gt = grad * (extra * (1.0 + d * (1.0 - extra)))
-        else:
-            gt = grad * extra
-        if needs[0]:
-            yield 0, _unbroadcast(gt, shapes[0])
-        if len(needs) > 1 and needs[1]:
-            yield 1, _unbroadcast(gt, shapes[1])
 
 
 class EmbeddingOp(Op):
@@ -361,8 +243,6 @@ _GELU = GeluOp()
 _SILU = SiluOp()
 _SILU_MUL = SiluMulOp()
 _RMS_NORM = RmsNormOp()
-_LAYER_NORM = LayerNormOp()
-_BIAS_ACT = BiasActOp()
 _EMBEDDING = EmbeddingOp()
 _MASKED_FILL = MaskedFillOp()
 
@@ -429,32 +309,6 @@ def silu_mul(a: Tensor, b: Tensor) -> Tensor:
 def rms_norm(x: Tensor, weight: Tensor, eps: float = 1e-5) -> Tensor:
     """Fused RMSNorm ``x * (mean(x²) + eps)^-½ * weight`` as one tape node."""
     return apply_op(_RMS_NORM, (_ensure_tensor(x), _ensure_tensor(weight)), eps)
-
-
-def layer_norm(x: Tensor, weight: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Fused LayerNorm over the last axis as one tape node."""
-    return apply_op(
-        _LAYER_NORM,
-        (_ensure_tensor(x), _ensure_tensor(weight), _ensure_tensor(bias)),
-        eps,
-    )
-
-
-_BIAS_ACTS = ("gelu", "silu", "relu")
-
-
-def bias_act(x: Tensor, bias: Optional[Tensor], act: str = "gelu") -> Tensor:
-    """Fused ``act(x + bias)`` as one tape node (``bias=None`` → ``act(x)``).
-
-    Bit-equivalent to composing the broadcast add with the matching
-    activation from this module.  Supported: ``gelu``, ``silu``, ``relu``.
-    """
-    if act not in _BIAS_ACTS:
-        raise ValueError(f"bias_act supports {_BIAS_ACTS}, got {act!r}")
-    x = _ensure_tensor(x)
-    if bias is None:
-        return apply_op(_BIAS_ACT, (x,), act)
-    return apply_op(_BIAS_ACT, (x, _ensure_tensor(bias)), act)
 
 
 def embedding(weight: Tensor, ids: np.ndarray) -> Tensor:

@@ -46,8 +46,8 @@ graphs are never stored.  Gradient-checkpointed steps are never captured.
 
 Memory
 ------
-A graph holds only what a replay reads.  With the arena on, step outputs
-are views into the step slab of the graph's :class:`GraphCache` (see
+A graph holds only what a replay reads.  Step outputs are views into the
+step slab of the graph's :class:`GraphCache` (see
 :mod:`repro.tensor.arena`): one buffer per cache, sized to its largest
 graph, so a cache of many graphs costs one graph's step memory.  Outputs
 that live in the slab are copied out before a replay returns.  Input
@@ -66,7 +66,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..obs import get_registry
-from .arena import SlabLayout, StepSlab, arena_enabled
+from .arena import SlabLayout, StepSlab
 from .tensor import (
     _RECLAIMED,
     Op,
@@ -281,13 +281,11 @@ class GraphRecorder:
         self,
         outputs: Sequence[Tensor] = (),
         loss: Optional[Tensor] = None,
-        fuse: bool = True,
     ) -> "Graph":
         """Freeze the recording into a replayable :class:`Graph`.
 
         ``outputs`` are tensors whose values each replay returns; ``loss``
-        (if given) roots a recorded backward program.  ``fuse`` runs the
-        elementwise auto-fuser over the captured steps first.
+        (if given) roots a recorded backward program.
         """
         out_slots = []
         for t in outputs:
@@ -301,23 +299,14 @@ class GraphRecorder:
             if loss_slot is None:
                 raise ValueError("loss tensor was not produced inside the capture")
 
-        steps = self.steps
-        if fuse and self.cacheable:
-            from .fusion import fuse_steps
-
-            protected = set(out_slots)
-            if loss_slot is not None:
-                protected.add(loss_slot)
-            steps = fuse_steps(self, steps, protected, loss_slot)
-
         bwd = ()
         if loss_slot is not None:
-            bwd = _build_backward(steps, loss_slot, self._rg)
-        for i, step in enumerate(steps):
+            bwd = _build_backward(self.steps, loss_slot, self._rg)
+        for i, step in enumerate(self.steps):
             step.index = i
         return Graph(
             nslots=self.nslots,
-            steps=steps,
+            steps=self.steps,
             leaves=self.leaves,
             input_slots=tuple(self._inputs),
             output_slots=tuple(out_slots),
@@ -483,8 +472,8 @@ class Graph:
         dtype.  Leaf values are read fresh from their live tensors.  With
         ``run_backward=True`` the recorded backward program runs and
         accumulates into the live leaf tensors' ``.grad`` exactly as the
-        traced tape would.  Returns the output arrays (copied out of the
-        slab when the arena is active).
+        traced tape would.  Returns the output arrays, copied out of the
+        slab.
         """
         if len(inputs) != len(self.input_slots):
             raise ValueError(
@@ -497,46 +486,35 @@ class Graph:
         for slot, arr in zip(self.input_slots, inputs):
             arr = np.asarray(arr)
             vals[slot] = arr
-        use_arena = arena_enabled()
         ctxs = self._ctxs
         plan = self._plan
         if plan is None:
             plan = self._plan = self._build_plan()
         try:
+            layout = self._slab_layout()
+            if self._slab is None:
+                self._slab = StepSlab()
+            bufs = self._slab.views(self, layout)
             # Replay dtypes are pinned by validation (leaf dtypes checked,
             # input dtypes part of the cache key), so each step's result
             # dtype is deterministic: casting to the recorded out_dtype
             # reproduces the trace-time downcast rule exactly.
-            if use_arena:
-                layout = self._slab_layout()
-                if self._slab is None:
-                    self._slab = StepSlab()
-                bufs = self._slab.views(self, layout)
-                for k, (fwd, parents, attrs, out_slot, odtype) in enumerate(plan):
-                    ins = tuple([vals[s] for s in parents])
-                    buf = bufs[k]
-                    if buf is not None:
-                        out_data, ctxs[k] = fwd(ins, attrs, out=buf)
-                        if out_data is buf:
-                            vals[out_slot] = buf
-                            continue
-                    else:
-                        out_data, ctxs[k] = fwd(ins, attrs)
-                    arr = np.asarray(out_data)
-                    if arr.dtype != odtype:
-                        arr = arr.astype(odtype)
-                    vals[out_slot] = arr
-            else:
-                for k, (fwd, parents, attrs, out_slot, odtype) in enumerate(plan):
-                    out_data, ctxs[k] = fwd(
-                        tuple([vals[s] for s in parents]), attrs
-                    )
-                    arr = np.asarray(out_data)
-                    if arr.dtype != odtype:
-                        arr = arr.astype(odtype)
-                    vals[out_slot] = arr
+            for k, (fwd, parents, attrs, out_slot, odtype) in enumerate(plan):
+                ins = tuple([vals[s] for s in parents])
+                buf = bufs[k]
+                if buf is not None:
+                    out_data, ctxs[k] = fwd(ins, attrs, out=buf)
+                    if out_data is buf:
+                        vals[out_slot] = buf
+                        continue
+                else:
+                    out_data, ctxs[k] = fwd(ins, attrs)
+                arr = np.asarray(out_data)
+                if arr.dtype != odtype:
+                    arr = arr.astype(odtype)
+                vals[out_slot] = arr
             outs = [vals[s] for s in self.output_slots]
-            if use_arena and layout.nbytes:
+            if layout.nbytes:
                 # The slab is overwritten by the cache's next replay; hand
                 # the caller stable copies (any view may alias it).
                 outs = [o.copy() if o.base is not None else o for o in outs]

@@ -13,9 +13,8 @@ the tape and runs the VJPs in reverse.
 Because ops are explicit objects (not closures), the tape is inspectable:
 :mod:`repro.tensor.graph` hooks :func:`apply_op` through a recorder to
 capture whole forward+backward programs and replay them without re-tracing,
-:mod:`repro.tensor.fusion` pattern-matches op chains, and
-:mod:`repro.tensor.arena` lays replayed step outputs into slab views for
-ops that support ``out=``.  Two closure node kinds remain: dropout
+and :mod:`repro.tensor.arena` lays replayed step outputs into slab views
+for ops that support ``out=``.  Two closure node kinds remain: dropout
 (:meth:`Tensor._make`; its forward draws from an external RNG), which
 marks a capture in progress uncacheable, and gradient checkpointing,
 whose backward re-runs its forward and which callers never capture.
@@ -133,8 +132,6 @@ class Op:
 
     * ``differentiable`` — False for ops that always produce constants
       (comparisons); their outputs never join the tape.
-    * ``elementwise`` — pure elementwise map; a candidate for chain fusion
-      (see :mod:`repro.tensor.fusion`).
     * ``supports_out`` — ``forward`` can write into a caller-provided
       buffer (a step-slab view; see :mod:`repro.tensor.arena`) with
       bit-identical results.
@@ -145,7 +142,6 @@ class Op:
 
     name = "op"
     differentiable = True
-    elementwise = False
     supports_out = False
     cacheable = True
 
@@ -611,7 +607,6 @@ class Tensor:
 # ---------------------------------------------------------------------------
 class AddOp(Op):
     name = "add"
-    elementwise = True
     supports_out = True
 
     def forward(self, inputs, attrs, out=None):
@@ -628,7 +623,6 @@ class AddOp(Op):
 
 class SubOp(Op):
     name = "sub"
-    elementwise = True
     supports_out = True
 
     def forward(self, inputs, attrs, out=None):
@@ -645,7 +639,6 @@ class SubOp(Op):
 
 class MulOp(Op):
     name = "mul"
-    elementwise = True
     supports_out = True
 
     def forward(self, inputs, attrs, out=None):
@@ -662,7 +655,6 @@ class MulOp(Op):
 
 class DivOp(Op):
     name = "div"
-    elementwise = True
     supports_out = True
 
     def forward(self, inputs, attrs, out=None):
@@ -679,7 +671,6 @@ class DivOp(Op):
 
 class NegOp(Op):
     name = "neg"
-    elementwise = True
     supports_out = True
 
     def forward(self, inputs, attrs, out=None):
@@ -694,7 +685,6 @@ class PowOp(Op):
     # ``a ** e`` keeps the ndarray.__pow__ fast paths (e.g. sqrt for 0.5),
     # which np.power(..., out=) would not hit bit-identically.
     name = "pow"
-    elementwise = True
 
     def forward(self, inputs, attrs, out=None):
         a = inputs[0]
@@ -741,7 +731,6 @@ class MatmulOp(Op):
 class CompareOp(Op):
     name = "compare"
     differentiable = False
-    elementwise = True
 
     _FNS = {
         "gt": np.greater,
@@ -877,7 +866,6 @@ class MaxOp(Op):
 
 class ExpOp(Op):
     name = "exp"
-    elementwise = True
     supports_out = True
 
     def forward(self, inputs, attrs, out=None):
@@ -891,7 +879,6 @@ class ExpOp(Op):
 
 class LogOp(Op):
     name = "log"
-    elementwise = True
     supports_out = True
 
     def forward(self, inputs, attrs, out=None):
@@ -905,7 +892,6 @@ class LogOp(Op):
 
 class TanhOp(Op):
     name = "tanh"
-    elementwise = True
     supports_out = True
 
     def forward(self, inputs, attrs, out=None):
@@ -919,7 +905,6 @@ class TanhOp(Op):
 
 class SigmoidOp(Op):
     name = "sigmoid"
-    elementwise = True
 
     def forward(self, inputs, attrs, out=None):
         # tanh-based form avoids exp overflow for large |x|.
@@ -933,7 +918,6 @@ class SigmoidOp(Op):
 
 class ReluOp(Op):
     name = "relu"
-    elementwise = True
     supports_out = True
 
     def forward(self, inputs, attrs, out=None):
@@ -948,7 +932,6 @@ class ReluOp(Op):
 
 class ClipOp(Op):
     name = "clip"
-    elementwise = True
     supports_out = True
 
     def forward(self, inputs, attrs, out=None):

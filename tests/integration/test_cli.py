@@ -104,6 +104,20 @@ class TestAdaptSharded:
         assert out["adapted_perplexity"] < 100
         assert len(out["stage_memory_bytes"]) == 2
 
+    def test_no_overlap_is_a_usage_error(self, capsys):
+        # Tuning has no overlap setting to pass the flag on to.
+        with pytest.raises(SystemExit) as exc:
+            main(["adapt", "--model", "x.npz", "--no-overlap"])
+        assert exc.value.code == 2
+        assert "--no-overlap" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["generate", "serve-sim"])
+    def test_serving_commands_keep_no_overlap(self, command):
+        from repro.cli import build_parser
+
+        args = build_parser().parse_args([command, "--model", "x.npz", "--no-overlap"])
+        assert args.no_overlap is True
+
 
 class TestSpeedup:
     def test_reports_speedup(self, capsys):

@@ -1,7 +1,8 @@
 """Guards against documentation rot: DESIGN.md's experiment index, the
-table of benchmarks/README.md and the CLI snippets of README.md and
-docs/*.md must match the actual repository."""
+table of benchmarks/README.md and the CLI snippets and flags of README.md
+and docs/*.md must match the actual repository."""
 
+import argparse
 import os
 import re
 
@@ -56,18 +57,35 @@ class TestDesignIndex:
             )
 
 
+def user_docs():
+    """README.md and docs/*.md, as (name, text) pairs."""
+    docs = sorted(
+        f for f in os.listdir(os.path.join(ROOT, "docs")) if f.endswith(".md")
+    )
+    names = ["README.md"] + [os.path.join("docs", f) for f in docs]
+    return [(name, read(name)) for name in names]
+
+
+def parser_flags(parser):
+    """Every ``--flag`` of ``parser`` and of its subcommands."""
+    flags = set()
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                flags |= parser_flags(sub)
+        flags.update(o for o in action.option_strings if o.startswith("--"))
+    return flags
+
+
 class TestReadmeClaims:
     def test_cli_snippets_parse(self):
         from repro.cli import build_parser
 
         readme = read("README.md")
         assert "python -m repro " in readme, "README must show CLI usage"
-        docs = sorted(
-            f for f in os.listdir(os.path.join(ROOT, "docs")) if f.endswith(".md")
-        )
         parser = build_parser()
         commands = []
-        for text in [readme] + [read(os.path.join("docs", f)) for f in docs]:
+        for _, text in user_docs():
             text = text.replace("\\\n", " ")  # join continuation lines
             commands += re.findall(r"python -m repro ([a-z][a-z-]*)([^\n]*)", text)
         for sub, rest in commands:
@@ -82,6 +100,24 @@ class TestReadmeClaims:
                 argv += ["--model", "x.npz"]
             args = parser.parse_args(argv)
             assert callable(args.fn)
+
+    def test_backticked_flags_exist(self):
+        # An inline `--flag` must name a flag of some repro subcommand or
+        # of the sidecar validator the docs describe.
+        from repro.cli import build_parser
+
+        known = parser_flags(build_parser())
+        known |= set(re.findall(
+            r'add_argument\(\s*"(--[a-z][a-z0-9-]*)"',
+            read(os.path.join("benchmarks", "validate_results.py")),
+        ))
+        unknown = []
+        for name, text in user_docs():
+            for span in re.findall(r"`([^`\n]+)`", text):
+                for flag in re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", span):
+                    if flag not in known:
+                        unknown.append(f"{name}: {flag}")
+        assert not unknown, f"docs name flags that do not exist: {unknown}"
 
     def test_example_table_matches_files(self):
         readme = read("README.md")

@@ -1,9 +1,8 @@
-"""Tests for primitive layers (Linear, Embedding, norms, Dropout)."""
+"""Tests for primitive layers (Linear, Embedding, RMSNorm, Dropout)."""
 
 import numpy as np
-import pytest
 
-from repro.nn import Dropout, Embedding, LayerNorm, Linear, RMSNorm
+from repro.nn import Dropout, Embedding, Linear, RMSNorm
 from repro.tensor import Tensor
 
 
@@ -47,28 +46,6 @@ class TestEmbedding:
         emb(np.array([2, 2])).sum().backward()
         assert np.allclose(emb.weight.grad[2], 2.0)
         assert np.allclose(emb.weight.grad[0], 0.0)
-
-
-class TestLayerNorm:
-    def test_output_statistics(self):
-        ln = LayerNorm(16)
-        x = Tensor(rng(0).standard_normal((4, 16)) * 5 + 3)
-        out = ln(x)
-        assert np.allclose(out.data.mean(axis=-1), 0.0, atol=1e-4)
-        assert np.allclose(out.data.std(axis=-1), 1.0, atol=1e-2)
-
-    def test_affine_params_used(self):
-        ln = LayerNorm(8)
-        ln.weight.data[:] = 2.0
-        ln.bias.data[:] = 1.0
-        out = ln(Tensor(rng(0).standard_normal((3, 8))))
-        assert np.allclose(out.data.mean(axis=-1), 1.0, atol=1e-4)
-
-    def test_grad_flows_to_affine(self):
-        ln = LayerNorm(8)
-        ln(Tensor(rng(0).standard_normal((3, 8)), requires_grad=True)).sum().backward()
-        assert ln.weight.grad is not None
-        assert ln.bias.grad is not None
 
 
 class TestRMSNorm:

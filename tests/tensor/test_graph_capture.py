@@ -4,15 +4,14 @@ Replay is an optimization, never an approximation: replayed values and
 gradients must be bitwise equal to a fresh trace, version bumps must
 invalidate exactly the graphs whose leaves changed (stale replay is
 impossible), a cache's graphs share one step slab sized to its largest
-graph and retain no capture-time inputs, and the arena/capture/grad/fusion
-toggles are contextvars — scoped per thread, never leaking across.
+graph and retain no capture-time inputs, and the capture and grad toggles
+are contextvars — scoped per thread, never leaking across.
 """
 
 import threading
 import weakref
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -21,10 +20,7 @@ from repro.tensor import (
     GraphCache,
     GraphRecorder,
     Tensor,
-    arena_scope,
     dropout,
-    fused_kernels,
-    fused_kernels_enabled,
     graph_capture,
     graph_capture_enabled,
     is_grad_enabled,
@@ -181,31 +177,19 @@ class TestUncacheable:
 
 
 class TestArena:
-    def test_arena_toggle_is_value_invariant(self):
-        x, w, b = randt((4, 6), 0), randt((6, 6), 1), randt((6,), 2)
-        graph = _capture(x, w, b, with_loss=False)
-        x2 = np.random.default_rng(8).standard_normal((4, 6)).astype(np.float32)
-        with arena_scope(True):
-            (with_arena,) = graph.replay([x2])
-            with_arena = with_arena.copy()
-        with arena_scope(False):
-            (without,) = graph.replay([x2])
-        np.testing.assert_array_equal(with_arena, without)
-
     def test_steady_state_replays_reserve_nothing(self):
         x, w, b = randt((8, 16), 0), randt((16, 16), 1), randt((16,), 2)
         cache = GraphCache()
         cache.store("k", _capture(x, w, b, with_loss=False))
         graph = cache.lookup("k")
         x2 = np.random.default_rng(8).standard_normal((8, 16)).astype(np.float32)
-        with arena_scope(True):
-            first = MetricsRegistry()
-            with use_registry(first):
-                graph.replay([x2])  # lays out and reserves the slab
-            steady = MetricsRegistry()
-            with use_registry(steady):
-                graph.replay([x2])
-                graph.replay([x2])
+        first = MetricsRegistry()
+        with use_registry(first):
+            graph.replay([x2])  # lays out and reserves the slab
+        steady = MetricsRegistry()
+        with use_registry(steady):
+            graph.replay([x2])
+            graph.replay([x2])
         reserved = first.counter("tensor/arena/bytes_reserved").value
         assert reserved == graph.step_bytes == cache.slab_bytes > 0
         assert steady.counter("tensor/arena/bytes_reserved").value == 0
@@ -217,7 +201,7 @@ class TestArena:
             cache.store(rows, _capture(randt((rows, 16), rows), w, b, with_loss=False))
         needs = {rows: cache.lookup(rows).step_bytes for rows in (2, 4, 16)}
         reg = MetricsRegistry()
-        with arena_scope(True), use_registry(reg):
+        with use_registry(reg):
             for rows in (16, 2, 4, 2, 16):
                 x2 = np.ones((rows, 16), dtype=np.float32)
                 cache.lookup(rows).replay([x2])
@@ -231,10 +215,9 @@ class TestArena:
         cache = GraphCache()
         cache.store("small", _capture(randt((2, 16), 3), w, b, with_loss=False))
         cache.store("large", _capture(randt((16, 16), 4), w, b, with_loss=False))
-        with arena_scope(True):
-            cache.lookup("small").replay([np.ones((2, 16), dtype=np.float32)])
-            old = weakref.ref(cache._slab._buf.base)
-            cache.lookup("large").replay([np.ones((16, 16), dtype=np.float32)])
+        cache.lookup("small").replay([np.ones((2, 16), dtype=np.float32)])
+        old = weakref.ref(cache._slab._buf.base)
+        cache.lookup("large").replay([np.ones((16, 16), dtype=np.float32)])
         assert old() is None
         assert cache.slab_bytes == cache.lookup("large").step_bytes
 
@@ -249,10 +232,9 @@ class TestArena:
         cache.store("a", graph)
         cache.store("b", other)
         x2 = np.random.default_rng(8).standard_normal((4, 6)).astype(np.float32)
-        with arena_scope(True):
-            outs = graph.replay([x2])
-            kept = [o.copy() for o in outs]
-            other.replay([np.ones((4, 6), dtype=np.float32)])  # rewrites the slab
+        outs = graph.replay([x2])
+        kept = [o.copy() for o in outs]
+        other.replay([np.ones((4, 6), dtype=np.float32)])  # rewrites the slab
         slab = cache._slab._buf
         for out, want in zip(outs, kept):
             assert not np.shares_memory(out, slab)
@@ -262,7 +244,7 @@ class TestArena:
         x, w, b = randt((4, 6), 0), randt((6, 6), 1), randt((6,), 2)
         graph = _capture(x, w, b, with_loss=False)
         reg = MetricsRegistry()
-        with arena_scope(True), use_registry(reg):
+        with use_registry(reg):
             graph.replay([np.ones((4, 6), dtype=np.float32)])
         assert reg.counter("tensor/arena/bytes_reserved").value == graph.step_bytes > 0
 
@@ -281,8 +263,8 @@ class TestArena:
 
 
 class TestContextvarIsolation:
-    """The grad/fused/capture/arena flags are contextvars: a new thread
-    starts from the defaults and scoped toggles never leak across."""
+    """The grad and capture flags are contextvars: a new thread starts
+    from the defaults and scoped toggles never leak across."""
 
     def _probe_in_thread(self, fn):
         seen = {}
@@ -296,11 +278,6 @@ class TestContextvarIsolation:
             assert is_grad_enabled() is False
             assert self._probe_in_thread(is_grad_enabled) is True
 
-    def test_fused_kernels_is_thread_local(self):
-        with fused_kernels(False):
-            assert fused_kernels_enabled() is False
-            assert self._probe_in_thread(fused_kernels_enabled) is True
-
     def test_graph_capture_is_thread_local(self):
         with graph_capture(False):
             assert graph_capture_enabled() is False
@@ -308,8 +285,8 @@ class TestContextvarIsolation:
 
     def test_thread_toggle_does_not_leak_back(self):
         def flip():
-            with fused_kernels(False):
-                return fused_kernels_enabled()
+            with graph_capture(False):
+                return graph_capture_enabled()
 
         assert self._probe_in_thread(flip) is False
-        assert fused_kernels_enabled() is True
+        assert graph_capture_enabled() is True
