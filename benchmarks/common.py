@@ -21,6 +21,7 @@ from typing import Dict, Optional, Sequence
 
 import numpy as np
 
+from bench.cli import git_sha, host_stamp
 from repro.data import MarkovChainCorpus, MultipleChoiceTask, lm_batches
 from repro.nn import AdamW, TransformerConfig, TransformerLM
 from repro.tensor import cross_entropy
@@ -183,6 +184,19 @@ def validate_sidecar(payload: Dict) -> None:
                 fail(f"{section}[{key!r}] is not a JSON scalar or scalar list")
 
 
+def host_config() -> Dict:
+    """The host a sidecar was measured on, stamped as the repo benchmark
+    (``bench``) stamps its runs, flattened to scalars for ``config``:
+    CPUs in the affinity mask, the BLAS thread variables, the Python and
+    numpy versions, the machine and the git sha."""
+    stamp = host_stamp(os.environ, np.__version__)
+    blas = stamp.pop("blas_threads")
+    config = {f"host_{key}": value for key, value in stamp.items()}
+    config.update({f"host_{name.lower()}": value for name, value in blas.items()})
+    config["git_sha"] = git_sha()
+    return config
+
+
 def emit(
     name: str,
     title: str,
@@ -195,8 +209,8 @@ def emit(
 
     ``metrics`` carries the bench's headline scalars (the values its
     assertions and the BENCH trajectory care about); ``config`` holds
-    per-bench setup merged over the shared ``BENCH_CONFIG``.
-    Returns the sidecar payload.
+    per-bench setup merged over the shared ``BENCH_CONFIG`` and the
+    :func:`host_config` stamp.  Returns the sidecar payload.
     """
     table = format_table(headers, rows)
     text = f"{title}\n{table}\n"
@@ -217,6 +231,7 @@ def emit(
         "metrics": {k: _json_value(v) for k, v in (metrics or {}).items()},
         "config": {
             **BENCH_CONFIG,
+            **host_config(),
             **{k: _json_value(v) for k, v in (config or {}).items()},
         },
     }

@@ -144,13 +144,18 @@ def make_schedule(
 
     With ``num_layers`` given, every exit point must lie in
     ``[1, num_layers]``; a deeper one would only fail once the schedule
-    first selected it, mid-run.
+    first selected it, mid-run.  The window must fit in the model too: a
+    wider one would silently tune every window from block 0.
     """
     if num_layers is not None:
         bad = sorted({int(p) for p in exit_points if not 1 <= p <= num_layers})
         if bad:
             raise ValueError(
                 f"exit points {bad} lie outside the model's [1, {num_layers}]"
+            )
+        if window > num_layers:
+            raise ValueError(
+                f"window {window} exceeds the model's {num_layers} layers"
             )
     if name == "round_robin":
         return RoundRobinSchedule(exit_points, window)

@@ -86,6 +86,25 @@ class AdaptiveTuningConfig:
             )
         if not self.weight_decay >= 0:
             raise ValueError(f"weight_decay must be >= 0, got {self.weight_decay}")
+        if self.optimizer not in _OPTIMIZERS:
+            raise ValueError(
+                f"optimizer must be one of {sorted(_OPTIMIZERS)}, got {self.optimizer!r}"
+            )
+
+    def exits_for(self, num_layers: int) -> List[int]:
+        """Exit points on a ``num_layers``-block model: the configured
+        ones, or evenly spaced defaults."""
+        if self.exit_points is not None:
+            return list(self.exit_points)
+        return default_exit_points(num_layers)
+
+    def schedule_for(self, num_layers: int) -> LayerSchedule:
+        """The layer schedule on a ``num_layers``-block model; raises
+        ``ValueError`` for exit points or a window the model cannot hold."""
+        return make_schedule(
+            self.schedule, self.exits_for(num_layers), self.window,
+            num_layers=num_layers,
+        )
 
 
 @dataclasses.dataclass
@@ -125,11 +144,7 @@ class AdaptiveLayerTrainer:
     ):
         self.model = model
         self.config = config or AdaptiveTuningConfig()
-        points = list(
-            self.config.exit_points
-            if self.config.exit_points is not None
-            else default_exit_points(model.num_layers)
-        )
+        points = self.config.exits_for(model.num_layers)
         if exit_heads is None:
             exit_heads = ExitHeadSet(
                 model,
@@ -138,12 +153,7 @@ class AdaptiveLayerTrainer:
                 seed=self.config.seed,
             )
         self.exit_heads = exit_heads
-        self.schedule: LayerSchedule = make_schedule(
-            self.config.schedule,
-            points,
-            self.config.window,
-            num_layers=model.num_layers,
-        )
+        self.schedule: LayerSchedule = self.config.schedule_for(model.num_layers)
         self._rng = np.random.default_rng(self.config.seed)
         params = list(model.parameters()) + list(exit_heads.parameters())
         # Dedupe tied parameters (exit heads may share the embedding).
@@ -152,9 +162,7 @@ class AdaptiveLayerTrainer:
             if id(p) not in seen:
                 seen.add(id(p))
                 unique.append(p)
-        opt_cls = _OPTIMIZERS.get(self.config.optimizer)
-        if opt_cls is None:
-            raise ValueError(f"unknown optimizer {self.config.optimizer!r}")
+        opt_cls = _OPTIMIZERS[self.config.optimizer]
         kwargs = {"lr": self.config.lr}
         if self.config.optimizer in ("adamw",):
             kwargs["weight_decay"] = self.config.weight_decay

@@ -21,12 +21,8 @@ from typing import Dict, Iterable, List, Optional
 import numpy as np
 
 from ..adaptive.exit_heads import ExitHeadSet
-from ..adaptive.schedules import LayerSchedule, TuningWindow, make_schedule
-from ..adaptive.trainer import (
-    AdaptiveTuningConfig,
-    StepStats,
-    default_exit_points,
-)
+from ..adaptive.schedules import LayerSchedule, TuningWindow
+from ..adaptive.trainer import AdaptiveTuningConfig, StepStats
 from ..eval.memory import MemoryReport, block_param_count, training_memory_report
 from ..nn.transformer import TransformerLM
 from ..obs import get_registry
@@ -45,23 +41,14 @@ class PipelineAdaptiveTrainer:
         self.model = model
         self.config = config or AdaptiveTuningConfig()
         self.dist = dist or DistConfig()
-        points = list(
-            self.config.exit_points
-            if self.config.exit_points is not None
-            else default_exit_points(model.num_layers)
-        )
+        points = self.config.exits_for(model.num_layers)
         self.exit_heads = ExitHeadSet(
             model,
             [p for p in points if p < model.num_layers] or [model.num_layers],
             tie_embeddings=self.config.tie_exit_heads,
             seed=self.config.seed,
         )
-        self.schedule: LayerSchedule = make_schedule(
-            self.config.schedule,
-            points,
-            self.config.window,
-            num_layers=model.num_layers,
-        )
+        self.schedule: LayerSchedule = self.config.schedule_for(model.num_layers)
         self._rng = np.random.default_rng(self.config.seed)
         self.runner = PipelineRunner(
             model, self.dist, self.config, self.exit_heads

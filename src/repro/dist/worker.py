@@ -119,9 +119,7 @@ class StageHost:
 
         self.optimizer = None
         if config is not None:
-            opt_cls = _OPTIMIZERS.get(config.optimizer)
-            if opt_cls is None:
-                raise ValueError(f"unknown optimizer {config.optimizer!r}")
+            opt_cls = _OPTIMIZERS[config.optimizer]
             kwargs = {"lr": config.lr}
             if config.optimizer in ("adamw",):
                 kwargs["weight_decay"] = config.weight_decay

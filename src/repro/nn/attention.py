@@ -6,7 +6,7 @@ from typing import Optional
 
 import numpy as np
 
-from ..tensor import Tensor, concat, masked_fill, softmax
+from ..tensor import Tensor, concat, masked_fill, rope, softmax
 from .layers import Dropout, Linear
 from .module import Module
 
@@ -27,35 +27,7 @@ def apply_rope(x: Tensor, cos: np.ndarray, sin: np.ndarray, offset: int = 0) -> 
     ``offset`` shifts the position index, used during cached decoding.
     """
     seq_len = x.shape[-2]
-    cos_t = cos[offset : offset + seq_len]
-    sin_t = sin[offset : offset + seq_len]
-    x1 = x[..., 0::2]
-    x2 = x[..., 1::2]
-    rot1 = x1 * cos_t - x2 * sin_t
-    rot2 = x1 * sin_t + x2 * cos_t
-    # Interleave back: stack on a new trailing axis then flatten.
-    stacked = concat(
-        [rot1.reshape(*rot1.shape, 1), rot2.reshape(*rot2.shape, 1)], axis=-1
-    )
-    return stacked.reshape(*x.shape)
-
-
-def apply_rope_tables(x: Tensor, cos_t, sin_t) -> Tensor:
-    """Rotate channel pairs of ``x`` with pre-gathered cos/sin tables.
-
-    ``cos_t``/``sin_t`` are already indexed per position — e.g.
-    ``(batch, 1, seq, head_dim // 2)`` slices of the RoPE tables — and may
-    be Tensors, which lets graph capture treat the per-row position
-    tables as replay-time *inputs* instead of baked constants.  The
-    arithmetic matches :func:`apply_rope` exactly (bitwise)."""
-    x1 = x[..., 0::2]
-    x2 = x[..., 1::2]
-    rot1 = x1 * cos_t - x2 * sin_t
-    rot2 = x1 * sin_t + x2 * cos_t
-    stacked = concat(
-        [rot1.reshape(*rot1.shape, 1), rot2.reshape(*rot2.shape, 1)], axis=-1
-    )
-    return stacked.reshape(*x.shape)
+    return rope(x, cos[offset : offset + seq_len], sin[offset : offset + seq_len])
 
 
 class KVCache:
@@ -449,8 +421,8 @@ class MultiHeadAttention(Module):
         q = self._split_heads(self.q_proj(x))
         k = self._split_heads(self.k_proj(x), self.num_kv_heads)
         v = self._split_heads(self.v_proj(x), self.num_kv_heads)
-        q = apply_rope_tables(q, cos_t, sin_t)
-        k_new = apply_rope_tables(k, cos_t, sin_t)
+        q = rope(q, cos_t, sin_t)
+        k_new = rope(k, cos_t, sin_t)
         k_all = concat([k_prefix, k_new], axis=2)
         v_all = concat([v_prefix, v], axis=2)
         k_exp = self._expand_kv(k_all)

@@ -103,6 +103,9 @@ class EdgeLLM:
     def __init__(self, model: TransformerLM, config: Optional[EdgeLLMConfig] = None):
         self.model = model
         self.config = config or EdgeLLMConfig()
+        # Tuning settings that depend on the model (exit points, window,
+        # schedule name) fail here, not in adapt() after compress has run.
+        self.config.tuning.schedule_for(model.num_layers)
         self.policy: Optional[LUCPolicy] = None
         self.slice_spec: Optional[SliceSpec] = slice_spec(model)
         self.trainer: Optional[

@@ -19,6 +19,7 @@ from .functional import (
     masked_fill,
     nll_from_logits,
     rms_norm,
+    rope,
     silu,
     silu_mul,
     softmax,
@@ -53,6 +54,7 @@ __all__ = [
     "silu",
     "silu_mul",
     "rms_norm",
+    "rope",
     "embedding",
     "dropout",
     "masked_fill",

@@ -199,6 +199,45 @@ class RmsNormOp(Op):
             yield 0, (g1 + g2) + g2
 
 
+class RopeOp(Op):
+    """Fused rotary position embedding as one tape node.
+
+    Rotates each channel pair ``(x[..., 2i], x[..., 2i+1])`` of ``x`` by
+    the angle whose cos/sin sit in ``cos[..., i]``/``sin[..., i]`` (the
+    tables broadcast against ``x``'s halves).  Bit-equivalent to the
+    composed chain it replaces — two strided slices, four products, a
+    difference, a sum and an interleaving concat: the forward rounds each
+    product once, as the chain does, and the backward adds every input
+    gradient into a zeroed buffer, as the chain's two zero-filled slice
+    VJPs do (so its zeros are all +0.0).  The tables are constants
+    (parents 1 and 2 never receive a gradient).
+    """
+
+    name = "rope"
+    supports_out = True
+
+    def forward(self, inputs, attrs, out=None):
+        xd, cos, sin = inputs
+        x1 = xd[..., 0::2]
+        x2 = xd[..., 1::2]
+        if out is None:
+            out = np.empty(xd.shape, np.result_type(xd.dtype, cos.dtype, sin.dtype))
+        np.subtract(x1 * cos, x2 * sin, out=out[..., 0::2])
+        np.add(x1 * sin, x2 * cos, out=out[..., 1::2])
+        return out, (cos, sin, xd.shape, xd.dtype)
+
+    def vjp(self, ctx, grad, needs):
+        cos, sin, shape, dtype = ctx
+        if needs[0]:
+            g1 = grad[..., 0::2]
+            g2 = grad[..., 1::2]
+            gx = np.zeros(shape, dtype)
+            # The chain casts each product to x's dtype before summing.
+            gx[..., 0::2] += np.asarray(g1 * cos, dtype) + np.asarray(g2 * sin, dtype)
+            gx[..., 1::2] += np.asarray(g2 * cos, dtype) - np.asarray(g1 * sin, dtype)
+            yield 0, gx
+
+
 class EmbeddingOp(Op):
     """Row gather; parent 1 carries the integer ids as a constant input."""
 
@@ -243,6 +282,7 @@ _GELU = GeluOp()
 _SILU = SiluOp()
 _SILU_MUL = SiluMulOp()
 _RMS_NORM = RmsNormOp()
+_ROPE = RopeOp()
 _EMBEDDING = EmbeddingOp()
 _MASKED_FILL = MaskedFillOp()
 
@@ -309,6 +349,25 @@ def silu_mul(a: Tensor, b: Tensor) -> Tensor:
 def rms_norm(x: Tensor, weight: Tensor, eps: float = 1e-5) -> Tensor:
     """Fused RMSNorm ``x * (mean(x²) + eps)^-½ * weight`` as one tape node."""
     return apply_op(_RMS_NORM, (_ensure_tensor(x), _ensure_tensor(weight)), eps)
+
+
+def rope(x: Tensor, cos, sin) -> Tensor:
+    """Fused rotary position embedding of ``x`` ``(..., seq, head_dim)``
+    as one tape node.
+
+    ``cos``/``sin`` hold the rotation of every channel pair, broadcast
+    against ``x``'s halves ``(..., seq, head_dim // 2)``: a ``(seq,
+    head_dim // 2)`` slice of the tables, or per-row ``(batch, 1, seq,
+    head_dim // 2)`` tables.  They are constants (module buffers or graph
+    inputs); a table that requires grad raises rather than have its
+    gradient dropped.
+    """
+    x, cos, sin = _ensure_tensor(x), _ensure_tensor(cos), _ensure_tensor(sin)
+    if x.shape[-1] % 2:
+        raise ValueError(f"RoPE needs an even head dim, got {x.shape[-1]}")
+    if cos.requires_grad or sin.requires_grad:
+        raise ValueError("rope tables are constants; got a table that requires grad")
+    return apply_op(_ROPE, (x, cos, sin))
 
 
 def embedding(weight: Tensor, ids: np.ndarray) -> Tensor:

@@ -386,6 +386,9 @@ class Graph:
         self._leaf_by_slot = {lf.slot: lf.tensor for lf in self.leaves}
         self._vals: List[Optional[np.ndarray]] = [None] * nslots
         self._ctxs: List = [None] * len(self.steps)
+        # What a replay resets the two tables to, by slice assignment.
+        self._no_vals = (None,) * nslots
+        self._no_ctxs = (None,) * len(self.steps)
         # Flat execution plan built on first replay: one tuple per step,
         # so the hot loop does no attribute lookups.
         self._plan = None
@@ -522,10 +525,8 @@ class Graph:
                 self._run_backward(vals, ctxs)
             return outs
         finally:
-            for k in range(len(ctxs)):
-                ctxs[k] = None
-            for n in range(self.nslots):
-                vals[n] = None
+            ctxs[:] = self._no_ctxs
+            vals[:] = self._no_vals
 
     def _run_backward(self, vals, ctxs) -> None:
         root = self.loss_slot

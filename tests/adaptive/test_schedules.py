@@ -117,6 +117,11 @@ class TestFactory:
         assert isinstance(make_schedule("full", EXITS, 2, num_layers=6),
                           FullDepthSchedule)
 
+    def test_window_wider_than_the_model_raises(self):
+        with pytest.raises(ValueError, match="window 7"):
+            make_schedule("round_robin", EXITS, 7, num_layers=6)
+        assert make_schedule("round_robin", EXITS, 6, num_layers=6).window == 6
+
     def test_unknown_raises(self):
         with pytest.raises(ValueError):
             make_schedule("bogus", EXITS, 2)

@@ -54,6 +54,10 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="grad_clip"):
             vanilla_trainer(pretrained_model, grad_clip=-1.0)
 
+    def test_unknown_optimizer_rejected(self):
+        with pytest.raises(ValueError, match="optimizer"):
+            AdaptiveTuningConfig(optimizer="bogus")
+
     def test_boundary_values_accepted(self):
         config = AdaptiveTuningConfig(lr=1e-6, grad_clip=0.0, weight_decay=0.0)
         assert config.grad_clip == 0.0  # 0 still means "no clipping"

@@ -91,6 +91,18 @@ class TestAdapt:
         with pytest.raises(ValueError, match="lr"):
             main(["adapt", *FAST_MODEL, "--model", checkpoint, "--lr", "-1"])
 
+    def test_window_past_the_model_fails_before_compressing(
+        self, checkpoint, monkeypatch
+    ):
+        from repro.pipeline import EdgeLLM
+
+        def compress(*args, **kwargs):
+            raise AssertionError("compress ran with an invalid config")
+
+        monkeypatch.setattr(EdgeLLM, "compress", compress)
+        with pytest.raises(ValueError, match="window 99"):
+            main(["adapt", *FAST_MODEL, "--model", checkpoint, "--window", "99"])
+
 
 class TestAdaptSharded:
     def test_sharded_pipeline_runs(self, checkpoint, capsys):

@@ -1,6 +1,7 @@
 """Guards against documentation rot: DESIGN.md's experiment index, the
-table of benchmarks/README.md and the CLI snippets and flags of README.md
-and docs/*.md must match the actual repository."""
+table of benchmarks/README.md, the CLI snippets and flags of README.md
+and docs/*.md, and docs/api.md's coverage of the ``repro.tensor``
+exports must match the actual repository."""
 
 import argparse
 import os
@@ -132,6 +133,19 @@ class TestReadmeClaims:
     def test_headline_claim_present(self):
         assert "2.92" in read("README.md")
         assert "2.92" in read("EXPERIMENTS.md")
+
+
+class TestApiReference:
+    def test_every_tensor_export_has_a_row(self):
+        import repro.tensor
+
+        api = read(os.path.join("docs", "api.md"))
+        documented = set(re.findall(r"`[^`\n]*`", api))
+        missing = [
+            name for name in repro.tensor.__all__
+            if not any(re.search(rf"\b{name}\b", span) for span in documented)
+        ]
+        assert not missing, f"repro.tensor exports missing from docs/api.md: {missing}"
 
 
 class TestResultsArtifacts:

@@ -7,6 +7,9 @@ from repro import EdgeLLM, EdgeLLMConfig
 from repro.adaptive import AdaptiveTuningConfig
 from repro.data import MultipleChoiceTask, lm_batches
 from repro.eval import model_perplexity, multiple_choice_accuracy, perplexity
+from repro.nn import TransformerLM
+
+from ..conftest import small_config
 
 
 @pytest.fixture
@@ -141,3 +144,23 @@ class TestConfigValidation:
     def test_shard_layout_below_one_rejected(self, layout):
         with pytest.raises(ValueError, match="must be >= 1"):
             EdgeLLMConfig(**layout)
+
+    @pytest.mark.parametrize("tuning, message", [
+        ({"window": 9}, "window 9"),
+        ({"exit_points": [2, 9]}, r"exit points \[9\]"),
+        ({"schedule": "bogus"}, "unknown schedule"),
+    ], ids=["window", "exit_points", "schedule"])
+    def test_tuning_that_the_model_cannot_hold_rejected_at_build(
+        self, tuning, message
+    ):
+        """Checked against the model when ``EdgeLLM`` is built, not in
+        adapt() after compress has run (a window wider than the model
+        used to tune silently from block 0)."""
+        model = TransformerLM(small_config(num_layers=4))
+        config = EdgeLLMConfig(tuning=AdaptiveTuningConfig(**tuning))
+        with pytest.raises(ValueError, match=message):
+            EdgeLLM(model, config)
+
+    def test_window_as_deep_as_the_model_accepted(self):
+        model = TransformerLM(small_config(num_layers=4))
+        EdgeLLM(model, EdgeLLMConfig(tuning=AdaptiveTuningConfig(window=4)))

@@ -1,9 +1,13 @@
 """Unit tests for the benchmark sidecar validator's metric bars."""
 
 import json
+import os
 
+import numpy as np
 import pytest
 
+from bench.cli import git_sha
+from benchmarks import common
 from benchmarks.common import SIDECAR_SCHEMA_VERSION
 from benchmarks.validate_results import (
     check_min_metrics,
@@ -97,3 +101,23 @@ class TestExpect:
         errors = validate_directory(str(tmp_path), expect=["ghost"])
         assert len(errors) == 1
         assert "bench_ghost.py" in errors[0]
+
+
+class TestHostStamp:
+    def test_emit_stamps_the_host(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(common, "RESULTS_DIR", str(tmp_path))
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+        common.emit("probe", "t", ["a"], [[1]], config={"seq": 7})
+        with open(tmp_path / "probe.json") as fh:
+            sidecar = json.load(fh)
+        common.validate_sidecar(sidecar)
+        config = sidecar["config"]
+        assert config["host_cpus"] == len(os.sched_getaffinity(0))
+        assert config["host_openblas_num_threads"] == "1"
+        assert config["host_mkl_num_threads"] is None
+        assert "host_omp_num_threads" in config
+        assert config["host_numpy"] == np.__version__
+        assert config["host_python"] and config["host_machine"]
+        assert config["git_sha"] == git_sha()
+        assert config["seq"] == 7  # per-bench config still wins

@@ -9,9 +9,11 @@ Voting decode replays one graph per segment between exit points; it
 must match capture off bitwise in its voted logits and early-exit
 flags, and once warm it captures nothing more.  However many shapes it
 has captured, the engine's graphs hold one step slab, sized to the
-largest graph, and none of the KV slabs they were captured on.
+largest graph, and none of the KV slabs they were captured on.  RoPE
+enters a captured decode graph as one fused step per projection.
 """
 
+import collections
 import weakref
 
 import numpy as np
@@ -142,6 +144,21 @@ class TestTokenIdentity:
                         entry.last_token = tokens[b][-1]
             results[capture] = [t[:12] for t in tokens]
         assert results[True] == results[False]
+
+
+class TestDecodeGraphStructure:
+    def test_rope_is_one_step_per_projection(self, pretrained_model):
+        """RoPE enters a captured decode graph as one fused step for q and
+        one for k in every layer, not as a chain of strided slices and
+        products."""
+        engine = GenerationEngine(pretrained_model)
+        with graph_capture(True):
+            greedy(engine, prefill_entries(engine), 1)
+        (graph,) = engine._graphs.graphs()
+        ops = collections.Counter(step.op.name for step in graph.steps)
+        assert ops["rope"] == 2 * pretrained_model.num_layers
+        assert ops["getitem"] == 0
+        assert ops["sub"] == 0
 
 
 class TestVotedCapture:
