@@ -4,9 +4,9 @@ The autograd core captures each steady-state workload once — the
 adaptive trainer's window step (forward + backward + gradient program)
 and the serving engine's per-bucket decode step — and replays the
 recorded op sequence through the arena allocator without re-tracing:
-no closure construction, no Tensor wrappers, no tape bookkeeping, and
-per-request KV prefixes live in persistent padded slabs instead of
-being re-stacked every step.
+no closure construction, no Tensor wrappers, no tape bookkeeping.  Both
+sides decode over the engine's KV store, writing each new position in
+place.
 
 Replay is an optimization, never an approximation, and this bench
 asserts the whole contract:
@@ -14,10 +14,11 @@ asserts the whole contract:
 * the captured train step is >= 1.25x faster than the identical
   trace-every-step configuration, with a *bit-identical* loss
   trajectory,
-* the captured decode step (replay over persistent KV slabs) is
-  >= 1.25x faster than the same engine with capture off (slabs
-  re-stacked and traced every step), with *token-identical* greedy
-  outputs,
+* the captured decode step is >= 1.25x faster than the same engine
+  with capture off (the same build traced every step), with
+  *token-identical* greedy outputs; both sides' absolute step times are
+  reported (``decode_step_ms_off``/``decode_step_ms``, and likewise for
+  the train step), so a falling ratio can be told from a slower step,
 * speculative (draft/verify) decode and structurally sliced
   checkpoints also emit identical tokens with capture on and off —
   slicing swaps parameter objects and installs shortcut buffers, which
@@ -29,9 +30,10 @@ asserts the whole contract:
   with capture on and off (``vote_tokens_identical``).  Its step times
   on both sides are reported without a bar,
 * captured graphs hold only what a replay reads: after decoding over
-  several (batch, bucket) shapes, the engine's graphs hold one step
+  several (batch, width) shapes, the engine's graphs hold one step
   slab no larger than its largest graph's step bytes, and none of the
-  KV slabs they were captured on (``decode_memory_bounded``).
+  KV store views they were captured on (``decode_memory_bounded``).
+  The store itself is reported on its own (``decode_store_kb``).
 """
 
 import gc
@@ -73,9 +75,8 @@ TRAIN_BATCH = 1
 TRAIN_SEQ = 8
 
 # Decode workload: batched continuous decode over medium prefixes.  With
-# capture off the engine re-stacks every request's whole KV prefix each
-# step; the captured path replays one graph per prefix bucket over
-# persistent slabs, so its advantage grows with prefix length.
+# capture off the engine traces its decode build every step; the
+# captured path replays one graph per (batch, width) bucket.
 MAX_LEN = 256
 DECODE_BATCH = 8
 PROMPT_LEN = 64
@@ -245,28 +246,30 @@ def _paired_decode_run(model, **engine_kwargs):
 
 
 def _decode_memory(model):
-    """Decode with capture on over several (batch, bucket) shapes, then
-    measure what the engine's graphs hold: their step slab plus every
-    superseded persistent KV slab (a capture-time input) still alive.
-    Returns (held bytes, largest graph's step bytes, per-graph step bytes)."""
+    """Decode with capture on over several (batch, width) shapes, then
+    measure what the engine's graphs hold: their step slab plus every KV
+    store view handed to a graph that is still alive (a graph holding
+    one would pin the store).  Returns (held bytes, largest graph's step
+    bytes, per-graph step bytes, store bytes)."""
     engine = GenerationEngine(model)
-    entries = _prefill_entries(engine)
+    entries = _prefill_entries(engine, prompt_len=PROMPT_LEN - 1)
     seen = []
+    apply = engine._graph_apply
+    store = engine.store
+
+    def spy(key, arrays, build):
+        seen.extend(weakref.ref(a) for a in arrays
+                    if np.shares_memory(a, store.k) or np.shares_memory(a, store.v))
+        return apply(key, arrays, build)
+
+    engine._graph_apply = spy
     for rows in (entries, entries, entries[:4], entries[:4], entries):
         with graph_capture(True):
-            engine.decode_step(rows)  # batch 8 crosses bucket 64 -> 96, then 4
-        if engine._slabs is not None:
-            seen.extend(weakref.ref(a) for a in engine._slabs[1] + engine._slabs[2])
-    current = set() if engine._slabs is None else {
-        id(a) for a in engine._slabs[1] + engine._slabs[2]
-    }
+            engine.decode_step(rows)  # batch 8 crosses width 64 -> 96, then 4
     gc.collect()
-    retained = sum(
-        a.nbytes for a in (ref() for ref in seen)
-        if a is not None and id(a) not in current
-    )
+    retained = sum(a.nbytes for a in (ref() for ref in seen) if a is not None)
     needs = [g.step_bytes for g in engine._graphs.graphs()]
-    return engine._graphs.slab_bytes + retained, max(needs), needs
+    return engine._graphs.slab_bytes + retained, max(needs), needs, store.nbytes
 
 
 def _speculative_tokens(model, heads, capture: bool, n: int = 24):
@@ -348,7 +351,7 @@ def test_ext_graph_replay(benchmark, base_state):
         _decode_run(serve_model, True)
     decode_captures = reg_dec.counter("tensor/graph/captures").value
     decode_replays = reg_dec.counter("tensor/graph/replays").value
-    held, largest, needs = _decode_memory(serve_model)
+    held, largest, needs, store_bytes = _decode_memory(serve_model)
     memory_bounded = held <= largest
 
     # -- speculative decode: identical drafts/acceptances -------------
@@ -390,6 +393,7 @@ def test_ext_graph_replay(benchmark, base_state):
         ["decode graphs' step memory KB, per-graph sum", sum(needs) / 1024, 1.0],
         ["decode graphs' step memory KB, held", held / 1024, held / sum(needs)],
         ["decode memory bounded by largest graph", int(memory_bounded), 1.0],
+        ["decode KV store KB (allocated, 8 requests)", store_bytes / 1024, 1.0],
     ]
     metrics = {
         "train_speedup": train_speedup,
@@ -412,7 +416,10 @@ def test_ext_graph_replay(benchmark, base_state):
         "decode_largest_graph_kb": largest / 1024,
         "decode_graphs_step_kb_sum": sum(needs) / 1024,
         "decode_memory_bounded": int(memory_bounded),
+        "decode_store_kb": store_bytes / 1024,
+        "train_step_ms_off": t_train_off * 1e3,
         "train_step_ms": t_train_on * 1e3,
+        "decode_step_ms_off": t_dec_off * 1e3,
         "decode_step_ms": t_dec_on * 1e3,
     }
     emit(

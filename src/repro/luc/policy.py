@@ -35,6 +35,12 @@ class LayerCompression:
     prune_ratio: float
     slice_ratio: float = 1.0
 
+    def __post_init__(self):
+        if not 0.0 <= self.prune_ratio < 1.0:
+            raise ValueError(f"prune ratio {self.prune_ratio} invalid")
+        if not 0.0 < self.slice_ratio <= 1.0:
+            raise ValueError(f"slice ratio {self.slice_ratio} invalid")
+
     def cost_factor(self) -> float:
         """Relative MAC cost vs an uncompressed (16-bit dense) layer."""
         return (
@@ -49,13 +55,6 @@ class LUCPolicy:
     """A full per-block compression assignment."""
 
     layers: List[LayerCompression]
-
-    def __post_init__(self):
-        for i, layer in enumerate(self.layers):
-            if not 0.0 <= layer.prune_ratio < 1.0:
-                raise ValueError(f"layer {i}: prune ratio {layer.prune_ratio} invalid")
-            if not 0.0 < layer.slice_ratio <= 1.0:
-                raise ValueError(f"layer {i}: slice ratio {layer.slice_ratio} invalid")
 
     @property
     def num_layers(self) -> int:

@@ -183,6 +183,19 @@ def _calibration_fingerprint(
     )
 
 
+def check_metric(metric: str, options: Sequence[LayerCompression]) -> None:
+    """Raise ``ValueError`` unless ``metric`` can score every option."""
+    if metric not in ("loss_delta", "kl", "weight_error"):
+        raise ValueError(f"unknown sensitivity metric {metric!r}")
+    if metric == "weight_error" and any(
+        getattr(o, "slice_ratio", 1.0) < 1.0 for o in options
+    ):
+        raise ValueError(
+            "weight_error is a forward-free proxy and cannot score "
+            "structural slice ratios; use loss_delta or kl"
+        )
+
+
 def measure_sensitivity(
     model: TransformerLM,
     calib_inputs: np.ndarray,
@@ -201,15 +214,7 @@ def measure_sensitivity(
     ``cache`` keyed on the parameter state and calibration batch lets a
     repeated profiling run skip every forward pass.
     """
-    if metric not in ("loss_delta", "kl", "weight_error"):
-        raise ValueError(f"unknown sensitivity metric {metric!r}")
-    if metric == "weight_error" and any(
-        getattr(o, "slice_ratio", 1.0) < 1.0 for o in options
-    ):
-        raise ValueError(
-            "weight_error is a forward-free proxy and cannot score "
-            "structural slice ratios; use loss_delta or kl"
-        )
+    check_metric(metric, options)
 
     scores: Dict[Tuple[int, LayerCompression], float] = {}
     pairs = [

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
-from typing import Optional
+import mmap
+import weakref
+from typing import List, Optional, Sequence
 
 import numpy as np
 
-from ..tensor import Tensor, concat, masked_fill, rope, softmax
+from ..obs import get_registry
+from ..tensor import Tensor, kv_write, masked_fill, rope, softmax
 from .layers import Dropout, Linear
 from .module import Module
 
@@ -31,23 +34,51 @@ def apply_rope(x: Tensor, cos: np.ndarray, sin: np.ndarray, offset: int = 0) -> 
 
 
 class KVCache:
-    """Per-layer key/value cache for incremental decoding.
+    """One layer's key/value cache, written in place.
 
-    Entries are ``(batch, kv_heads, seq, head_dim)`` arrays.  Besides
-    ``append`` (used by attention itself), the cache exposes ``truncate``
-    and ``reset`` so a serving-side pool can recycle cache blocks between
-    requests without reallocating them (see :mod:`repro.serve.cache_pool`).
+    The cache holds ``length`` positions of a ``(batch, kv_heads,
+    capacity, head_dim)`` buffer; ``k``/``v`` are views of its first
+    ``length`` positions (None while empty).  ``append`` writes new
+    positions after them; ``truncate`` and ``reset`` only change the
+    length, so a rolled-back position is simply overwritten by the next
+    append.
+
+    A fresh cache owns a private buffer that doubles as it grows.  A
+    serving engine *binds* a request's batch-1 caches to one slot of its
+    :class:`KVStore`; from then on the buffer is that slot's row of the
+    store, the capacity is the model's ``max_len``, and ``reset`` hands
+    the slot back (the caches return to private buffers).
     """
 
     def __init__(self):
-        self.k: Optional[np.ndarray] = None
-        self.v: Optional[np.ndarray] = None
+        self._k: Optional[np.ndarray] = None
+        self._v: Optional[np.ndarray] = None
+        self.length = 0
+        # Set while bound: the store, this request's slot, and this layer.
+        self.store: Optional["KVStore"] = None
+        self.slot = -1
+        self.layer = -1
+
+    def _buffers(self):
+        """The whole ``(k, v)`` buffers this cache writes into (None, None
+        before a private cache's first append)."""
+        if self.store is None:
+            return self._k, self._v
+        s = self.slot
+        return (self.store.k[self.layer, s : s + 1],
+                self.store.v[self.layer, s : s + 1])
 
     @property
-    def length(self) -> int:
-        return 0 if self.k is None else self.k.shape[2]
+    def k(self) -> Optional[np.ndarray]:
+        return self._buffers()[0][:, :, : self.length] if self.length else None
+
+    @property
+    def v(self) -> Optional[np.ndarray]:
+        return self._buffers()[1][:, :, : self.length] if self.length else None
 
     def append(self, k: np.ndarray, v: np.ndarray):
+        """Write ``k``/``v`` ``(batch, kv_heads, seq, head_dim)`` after the
+        cached positions; returns views of the whole cached ``(k, v)``."""
         k = np.asarray(k)
         v = np.asarray(v)
         if k.ndim != 4 or v.ndim != 4:
@@ -57,214 +88,229 @@ class KVCache:
             )
         if k.shape != v.shape:
             raise ValueError(f"k/v shape mismatch: {k.shape} vs {v.shape}")
-        if self.k is None:
-            self.k, self.v = k, v
-        else:
-            expected = (self.k.shape[0], self.k.shape[1], self.k.shape[3])
-            got = (k.shape[0], k.shape[1], k.shape[3])
-            if expected != got:
+        buf_k, buf_v = self._buffers()
+        n = self.length
+        end = n + k.shape[2]
+        got = k.shape[:2] + k.shape[3:]
+        cached = None if buf_k is None else buf_k.shape[:2] + buf_k.shape[3:]
+        if cached != got and (n or self.store is not None):
+            raise ValueError(
+                f"appended entry (batch, heads, head_dim)={got} does not "
+                f"match cached {cached}"
+            )
+        if cached != got or end > buf_k.shape[2]:
+            if self.store is not None:
                 raise ValueError(
-                    f"appended entry (batch, heads, head_dim)={got} does not "
-                    f"match cached {expected}"
+                    f"sequence length {end} exceeds max_len "
+                    f"{self.store.max_len} (the cache holds {n} tokens)"
                 )
-            self.k = np.concatenate([self.k, k], axis=2)
-            self.v = np.concatenate([self.v, v], axis=2)
-        return self.k, self.v
+            buf_k, buf_v = self._grow(k, end)
+        buf_k[:, :, n:end] = k
+        buf_v[:, :, n:end] = v
+        self.length = end
+        return buf_k[:, :, :end], buf_v[:, :, :end]
+
+    def _grow(self, like: np.ndarray, end: int):
+        """A private buffer for ``end`` positions shaped like ``like``,
+        at least double the old one, keeping the cached positions."""
+        n = self.length
+        capacity = end if self._k is None else max(end, 2 * self._k.shape[2])
+        shape = like.shape[:2] + (capacity, like.shape[3])
+        dtype = like.dtype if not n else np.result_type(self._k, like)
+        k = np.empty(shape, dtype)
+        v = np.empty(shape, dtype)
+        if n:
+            k[:, :, :n] = self._k[:, :, :n]
+            v[:, :, :n] = self._v[:, :, :n]
+        self._k, self._v = k, v
+        return k, v
 
     def truncate(self, n: int) -> None:
         """Drop cached entries beyond the first ``n`` positions."""
         n = int(n)
         if n < 0 or n > self.length:
             raise ValueError(f"truncate({n}) out of range for length {self.length}")
-        if n == 0:
-            self.k = self.v = None
-        elif n < self.length:
-            self.k = self.k[:, :, :n, :]
-            self.v = self.v[:, :, :n, :]
+        self.length = n
 
     def reset(self) -> None:
-        """Empty the cache (equivalent to ``truncate(0)``)."""
-        self.k = self.v = None
+        """Empty the cache (equivalent to ``truncate(0)``); a bound cache
+        also lets go of its store slot."""
+        self.length = 0
+        if self.store is not None:
+            self.store.release(self)
 
     def clone(self) -> "KVCache":
-        """Independent copy (used to fork decoding hypotheses)."""
-        other = KVCache()
-        if self.k is not None:
-            other.k = self.k.copy()
-            other.v = self.v.copy()
-        return other
-
-
-class SharedKVCacheView(KVCache):
-    """A cache whose leading positions alias an immutable shared prefix.
-
-    Used by ``repro.serve`` prefix sharing: the shared arrays belong to a
-    prefix-trie node owned by the :class:`~repro.serve.cache_pool.CachePool`
-    and may be aliased by many concurrent requests, so they must never be
-    written through a view.  Appends land in a private tail; truncating
-    into the shared region (or resetting) **copies-on-write** — the kept
-    prefix is copied into private storage and the view detaches from the
-    shared arrays, leaving them untouched for the other lessees.
-
-    ``on_detach`` (optional) fires exactly once, the first time the view
-    stops referencing the shared arrays (COW truncate or reset).  The
-    full ``k``/``v`` arrays are materialized lazily and memoized, so
-    attention and the serving engine read the view exactly like a plain
-    :class:`KVCache`.
-    """
-
-    def __init__(self, shared_k=None, shared_v=None, on_detach=None):
-        # No super().__init__(): k/v are derived properties here.
-        if shared_k is not None:
-            shared_k = np.asarray(shared_k)
-            shared_v = np.asarray(shared_v)
-            if shared_k.ndim != 4 or shared_k.shape != shared_v.shape:
-                raise ValueError(
-                    f"shared entries must be matching 4-D arrays; "
-                    f"got k{shared_k.shape}, v{shared_v.shape}"
-                )
-        else:
-            shared_v = None  # empty shared prefix: view starts fully private
-        self._shared_k: Optional[np.ndarray] = shared_k
-        self._shared_v: Optional[np.ndarray] = shared_v
-        self._was_attached = shared_k is not None
-        self._tail_k: Optional[np.ndarray] = None
-        self._tail_v: Optional[np.ndarray] = None
-        self._full: Optional[tuple] = None
-        self._on_detach = on_detach
-
-    # -- shape bookkeeping ---------------------------------------------
-    @property
-    def shared_length(self) -> int:
-        """Positions still backed by the shared arrays (0 once detached)."""
-        return 0 if self._shared_k is None else self._shared_k.shape[2]
-
-    @property
-    def tail_length(self) -> int:
-        return 0 if self._tail_k is None else self._tail_k.shape[2]
-
-    @property
-    def length(self) -> int:
-        return self.shared_length + self.tail_length
-
-    @property
-    def detached(self) -> bool:
-        """True once a formerly attached view released its shared arrays."""
-        return self._was_attached and self._shared_k is None
-
-    # -- plain-KVCache surface -----------------------------------------
-    @property
-    def k(self) -> Optional[np.ndarray]:
-        return self._materialize()[0]
-
-    @property
-    def v(self) -> Optional[np.ndarray]:
-        return self._materialize()[1]
-
-    def _materialize(self):
-        if self._full is None:
-            ks = [a for a in (self._shared_k, self._tail_k) if a is not None]
-            vs = [a for a in (self._shared_v, self._tail_v) if a is not None]
-            if not ks:
-                self._full = (None, None)
-            elif len(ks) == 1:
-                self._full = (ks[0], vs[0])
-            else:
-                self._full = (
-                    np.concatenate(ks, axis=2), np.concatenate(vs, axis=2)
-                )
-        return self._full
-
-    def append(self, k: np.ndarray, v: np.ndarray):
-        k = np.asarray(k)
-        v = np.asarray(v)
-        if k.ndim != 4 or v.ndim != 4:
-            raise ValueError(
-                f"cache entries must be 4-D (batch, heads, seq, head_dim); "
-                f"got k{k.shape}, v{v.shape}"
-            )
-        if k.shape != v.shape:
-            raise ValueError(f"k/v shape mismatch: {k.shape} vs {v.shape}")
-        base = self._shared_k if self._tail_k is None else self._tail_k
-        if base is not None:
-            expected = (base.shape[0], base.shape[1], base.shape[3])
-            got = (k.shape[0], k.shape[1], k.shape[3])
-            if expected != got:
-                raise ValueError(
-                    f"appended entry (batch, heads, head_dim)={got} does not "
-                    f"match cached {expected}"
-                )
-        if self._tail_k is None:
-            self._tail_k, self._tail_v = k, v
-        else:
-            self._tail_k = np.concatenate([self._tail_k, k], axis=2)
-            self._tail_v = np.concatenate([self._tail_v, v], axis=2)
-        self._full = None
-        return self._materialize()
-
-    def truncate(self, n: int) -> None:
-        """Keep the first ``n`` positions; COW if ``n`` cuts into the
-        shared prefix (the shared arrays themselves are never touched)."""
-        n = int(n)
-        if n < 0 or n > self.length:
-            raise ValueError(f"truncate({n}) out of range for length {self.length}")
-        shared = self.shared_length
-        if n >= shared:
-            keep = n - shared
-            if keep == 0:
-                self._tail_k = self._tail_v = None
-            elif keep < self.tail_length:
-                self._tail_k = self._tail_k[:, :, :keep, :]
-                self._tail_v = self._tail_v[:, :, :keep, :]
-        else:
-            # Copy-on-write: own the kept slice, release the shared arrays.
-            kept_k = self._shared_k[:, :, :n, :].copy() if n else None
-            kept_v = self._shared_v[:, :, :n, :].copy() if n else None
-            self._tail_k, self._tail_v = kept_k, kept_v
-            self._detach()
-        self._full = None
-
-    def reset(self) -> None:
-        self._tail_k = self._tail_v = None
-        self._full = None
-        if self._shared_k is not None:
-            self._detach()
-
-    def clone(self) -> "KVCache":
-        """Independent private copy (a plain :class:`KVCache`)."""
+        """Independent private copy (used to fork decoding hypotheses)."""
         other = KVCache()
         if self.length:
-            k, v = self._materialize()
-            other.k = k.copy()
-            other.v = v.copy()
+            other.append(self.k, self.v)
         return other
 
-    # -- shared-prefix lifecycle ---------------------------------------
-    def rebase(self, shared_k: np.ndarray, shared_v: np.ndarray) -> None:
-        """Swap in longer shared arrays that subsume the current content.
 
-        Used when a request's freshly prefilled prompt suffix is promoted
-        into the prefix trie: the new shared arrays must equal the view's
-        current full content (same length), and the private tail empties.
-        """
-        shared_k = np.asarray(shared_k)
-        shared_v = np.asarray(shared_v)
-        if self.detached:
-            raise ValueError("cannot rebase a detached view")
-        if shared_k.shape[2] != self.length:
+class KVStore:
+    """Preallocated key/value storage for many requests' caches.
+
+    Per layer, ``k[layer]`` and ``v[layer]`` are ``(slots, kv_heads,
+    max_len, head_dim)`` arrays.  A request owns one slot in every layer:
+    :meth:`bind` gives its per-layer :class:`KVCache` list the next slot
+    and copies what they hold into it, after which they read and append
+    through the store.  The used slots stay dense, ``[0, rows)``: when a
+    request lets go of its slot (every cache reset, or collected), the
+    highest slot moves into the hole, so a batch of requests is one
+    contiguous run of slots unless they were bound in another order
+    (:meth:`group` swaps them into one).  Slots are added on demand,
+    doubling.  The arrays live in an anonymous memory mapping, so a slot
+    position becomes resident only once something writes it (``np.zeros``
+    may hand out heap memory that earlier arrays already made resident).
+    """
+
+    def __init__(self, num_layers: int, kv_heads: int, max_len: int,
+                 head_dim: int, dtype=np.float32):
+        self.num_layers = num_layers
+        self.max_len = max_len
+        self.rows = 0
+        # Per used slot, weak references to its caches (one per layer):
+        # a request that drops its caches without resetting them frees
+        # its slot at the next bind.
+        self._owners: List[List[weakref.ref]] = []
+        self._data = _mapped_zeros((2, num_layers, 0, kv_heads, max_len, head_dim), dtype)
+        self.k, self.v = self._data
+
+    @property
+    def slots(self) -> int:
+        return self._data.shape[2]
+
+    @property
+    def nbytes(self) -> int:
+        return self._data.nbytes
+
+    def bind(self, caches: Sequence[KVCache]) -> int:
+        """Give ``caches`` (one batch-1 cache per layer) a slot, copying
+        what they hold into it; returns the slot."""
+        if len(caches) != self.num_layers:
             raise ValueError(
-                f"rebase length {shared_k.shape[2]} != cached length {self.length}"
+                f"expected {self.num_layers} per-layer caches, got {len(caches)}"
             )
-        self._shared_k, self._shared_v = shared_k, shared_v
-        self._was_attached = True
-        self._tail_k = self._tail_v = None
-        self._full = None
+        row = self._data.shape[3:4] + self._data.shape[5:]
+        for cache in caches:
+            if cache.store is self:
+                raise ValueError("cache is already bound to this store")
+            if cache.length and (cache.k.shape[0] != 1 or
+                                 cache.k.shape[1:2] + cache.k.shape[3:] != row):
+                raise ValueError(
+                    f"cache {cache.k.shape} does not fit a store slot {row}"
+                )
+            if cache.length > self.max_len:
+                raise ValueError(
+                    f"cache holds {cache.length} tokens > max_len {self.max_len}"
+                )
+        self._sweep()
+        if self.rows == self.slots:
+            self._resize(max(1, 2 * self.slots))
+        slot = self.rows
+        for layer, cache in enumerate(caches):
+            n = cache.length
+            if n:
+                self.k[layer, slot, :, :n] = cache.k[0]
+                self.v[layer, slot, :, :n] = cache.v[0]
+            if cache.store is not None:
+                cache.store.release(cache)
+            cache._k = cache._v = None
+            cache.length = n
+            cache.store, cache.slot, cache.layer = self, slot, layer
+        self._owners.append([weakref.ref(c) for c in caches])
+        self.rows += 1
+        return slot
 
-    def _detach(self) -> None:
-        self._shared_k = self._shared_v = None
-        if self._on_detach is not None:
-            callback, self._on_detach = self._on_detach, None
-            callback()
+    def release(self, cache: KVCache) -> None:
+        """Unbind ``cache``; its slot is freed once none of its caches
+        holds it any more."""
+        slot = cache.slot
+        cache.store, cache.slot, cache.layer = None, -1, -1
+        if not self._held(slot):
+            self._free(slot)
+
+    def group(self, slots: Sequence[int]) -> int:
+        """Swap slots so that ``slots`` become one contiguous run at an end
+        of ``[0, rows)``, whichever end already holds more of them;
+        returns the run's first slot.  Counted on ``serve/kv/slot_swaps``."""
+        n = len(slots)
+        wanted = set(slots)
+        head, tail = range(n), range(self.rows - n, self.rows)
+        run = max((head, tail), key=lambda r: len(wanted.intersection(r)))
+        outside = [s for s in slots if s not in run]
+        free = [s for s in run if s not in wanted]
+        for a, b in zip(outside, free):
+            self._swap(a, b)
+        get_registry().counter("serve/kv/slot_swaps").inc(len(outside))
+        return run.start
+
+    # -- internals -----------------------------------------------------
+    def _live(self, slot: int, layer: int) -> Optional[KVCache]:
+        cache = self._owners[slot][layer]()
+        return cache if cache is not None and cache.store is self else None
+
+    def _held(self, slot: int) -> bool:
+        return any(self._live(slot, layer) for layer in range(self.num_layers))
+
+    def _sweep(self) -> None:
+        """Free every slot whose caches were all collected unreset."""
+        for slot in reversed(range(self.rows)):
+            if not self._held(slot):
+                self._free(slot)
+
+    def _copy_row(self, src: int, dst: int, layer: int, n: int) -> None:
+        self.k[layer, dst, :, :n] = self.k[layer, src, :, :n]
+        self.v[layer, dst, :, :n] = self.v[layer, src, :, :n]
+
+    def _free(self, slot: int) -> None:
+        """Move the highest slot into ``slot`` and drop the highest."""
+        last = self.rows - 1
+        if slot != last:
+            for layer in range(self.num_layers):
+                cache = self._live(last, layer)
+                if cache is not None:
+                    self._copy_row(last, slot, layer, cache.length)
+                    cache.slot = slot
+            self._owners[slot] = self._owners[last]
+        self._owners.pop()
+        self.rows -= 1
+
+    def _swap(self, a: int, b: int) -> None:
+        for layer in range(self.num_layers):
+            ca, cb = self._live(a, layer), self._live(b, layer)
+            na = ca.length if ca is not None else 0
+            k = self.k[layer, a, :, :na].copy()
+            v = self.v[layer, a, :, :na].copy()
+            if cb is not None:
+                self._copy_row(b, a, layer, cb.length)
+                cb.slot = a
+            self.k[layer, b, :, :na] = k
+            self.v[layer, b, :, :na] = v
+            if ca is not None:
+                ca.slot = b
+        self._owners[a], self._owners[b] = self._owners[b], self._owners[a]
+
+    def _resize(self, slots: int) -> None:
+        old_k, old_v = self.k, self.v
+        shape = self._data.shape
+        self._data = _mapped_zeros(shape[:2] + (slots,) + shape[3:], self._data.dtype)
+        self.k, self.v = self._data
+        for slot in range(self.rows):
+            for layer in range(self.num_layers):
+                cache = self._live(slot, layer)
+                if cache is not None:
+                    n = cache.length
+                    self.k[layer, slot, :, :n] = old_k[layer, slot, :, :n]
+                    self.v[layer, slot, :, :n] = old_v[layer, slot, :, :n]
+
+
+def _mapped_zeros(shape, dtype) -> np.ndarray:
+    """A zeroed array in a fresh anonymous mapping: its pages become
+    resident when first written, and return to the OS with the array."""
+    count = int(np.prod(shape))
+    nbytes = max(count * np.dtype(dtype).itemsize, 1)
+    return np.frombuffer(mmap.mmap(-1, nbytes), dtype, count=count).reshape(shape)
 
 
 class MultiHeadAttention(Module):
@@ -390,41 +436,43 @@ class MultiHeadAttention(Module):
     def forward_decode(
         self,
         x: Tensor,
-        k_prefix: Tensor,
-        v_prefix: Tensor,
+        k_store: Tensor,
+        v_store: Tensor,
         mask: Tensor,
         cos_t: Tensor,
         sin_t: Tensor,
-    ):
+        pos: Tensor,
+    ) -> Tensor:
         """Capture-friendly decode: every dynamic value is an operand.
 
         Unlike :meth:`forward`, nothing here depends on python-level state
-        that changes between steps — the cache prefix, the combined
-        causal+pad mask and the per-row RoPE tables all flow in as
-        (graph-input) Tensors, so a captured graph replays correctly for
-        any batch of requests with the same (batch, prefix, seq) shape.
+        that changes between steps — the cache store views, the mask, the
+        per-row RoPE tables and positions all flow in as (graph-input)
+        Tensors, so a captured graph replays correctly for any batch of
+        requests with the same (batch, width, seq) shape.
 
-        * ``x``: ``(batch, seq, dim)`` suffix hidden states.
-        * ``k_prefix``/``v_prefix``: ``(batch, kv_heads, P, head_dim)``
-          cached keys/values, zero-padded rows masked via ``mask``.
-        * ``mask``: bool ``(batch, 1, seq, P + seq)`` — True where a key
-          must not be attended (padding tails and intra-suffix causality).
+        * ``x``: ``(batch, seq, dim)`` hidden states of the new positions.
+        * ``k_store``/``v_store``: ``(batch, kv_heads, W, head_dim)`` views
+          of the rows' cache slots, keys in true-position order.
+        * ``mask``: bool ``(batch, 1, seq, W)`` — True where a key lies
+          past the query's own position.
         * ``cos_t``/``sin_t``: ``(batch, 1, seq, head_dim // 2)`` RoPE
           tables gathered at each row's true positions.
+        * ``pos``: ``(batch,)`` each row's cached length, where its first
+          new position goes.
 
-        Returns ``(out, k_new, v_new)`` where ``k_new``/``v_new`` are the
-        suffix's cache entries ``(batch, kv_heads, seq, head_dim)``.
-        Keys sit in ``[valid prefix | pad | suffix]`` array order: masked
-        positions score ``-1e9`` and underflow to exactly 0 in softmax,
-        so bucket padding carries no attention weight.
+        The new keys/values are written into the store views in place
+        (:func:`~repro.tensor.kv_write`) before attention reads them, so
+        a decode step copies no cached position.  Masked keys — padding,
+        stale entries past a row's length, later suffix positions — score
+        ``-1e9`` and underflow to exactly 0 in softmax.
         """
         q = self._split_heads(self.q_proj(x))
         k = self._split_heads(self.k_proj(x), self.num_kv_heads)
         v = self._split_heads(self.v_proj(x), self.num_kv_heads)
         q = rope(q, cos_t, sin_t)
-        k_new = rope(k, cos_t, sin_t)
-        k_all = concat([k_prefix, k_new], axis=2)
-        v_all = concat([v_prefix, v], axis=2)
+        k_all = kv_write(k_store, rope(k, cos_t, sin_t), pos)
+        v_all = kv_write(v_store, v, pos)
         k_exp = self._expand_kv(k_all)
         v_exp = self._expand_kv(v_all)
         scores = (q @ k_exp.swapaxes(-1, -2)) * (1.0 / np.sqrt(self.head_dim))
@@ -432,7 +480,7 @@ class MultiHeadAttention(Module):
         weights = softmax(scores, axis=-1)
         weights = self.attn_dropout(weights)
         out = self._merge_heads(weights @ v_exp)
-        return self.o_proj(out), k_new, v
+        return self.o_proj(out)
 
     def extra_repr(self) -> str:
         return f"dim={self.dim}, heads={self.num_heads}"

@@ -101,22 +101,22 @@ class TransformerBlock(Module):
         shortcut = getattr(self, "mlp_shortcut_Q", None)
         return (x if shortcut is None else x @ shortcut) + mlp_out
 
-    def forward_decode(self, x, k_prefix, v_prefix, mask, cos_t, sin_t):
-        """Capture-friendly decode step (see ``MultiHeadAttention.forward_decode``).
+    def forward_decode(self, x, k_store, v_store, mask, cos_t, sin_t, pos):
+        """Capture-friendly decode step (see ``MultiHeadAttention.forward_decode``);
+        writes the new k/v into ``k_store``/``v_store`` in place.
 
-        Returns ``(x_out, k_new, v_new)``.  A captured graph bakes the
-        shortcut rotations in; installing or removing one advances the
-        module structure counter the engine's graphs pin, so they
-        re-capture instead of replaying a stale rotation."""
-        attn_out, k_new, v_new = self.attn.forward_decode(
-            self.attn_norm(x), k_prefix, v_prefix, mask, cos_t, sin_t
-        )
-        attn_out = self.dropout(attn_out)
+        A captured graph bakes the shortcut rotations in; installing or
+        removing one advances the module structure counter the engine's
+        graphs pin, so they re-capture instead of replaying a stale
+        rotation."""
+        attn_out = self.dropout(self.attn.forward_decode(
+            self.attn_norm(x), k_store, v_store, mask, cos_t, sin_t, pos
+        ))
         shortcut = getattr(self, "attn_shortcut_Q", None)
         x = (x if shortcut is None else x @ shortcut) + attn_out
         mlp_out = self.dropout(self.mlp(self.mlp_norm(x)))
         shortcut = getattr(self, "mlp_shortcut_Q", None)
-        return (x if shortcut is None else x @ shortcut) + mlp_out, k_new, v_new
+        return (x if shortcut is None else x @ shortcut) + mlp_out
 
 
 class TransformerLM(Module):
@@ -177,33 +177,27 @@ class TransformerLM(Module):
     def run_blocks_decode(
         self,
         hidden,
-        k_prefixes,
-        v_prefixes,
+        k_stores,
+        v_stores,
         mask,
         cos_t,
         sin_t,
+        pos,
         start: int = 0,
         stop: Optional[int] = None,
     ):
         """Apply blocks ``start:stop`` in capture-friendly decode form.
 
-        ``k_prefixes``/``v_prefixes`` hold one prefix Tensor per applied
-        block (length ``stop - start``).  Returns ``(hidden, new_ks,
-        new_vs)`` with the per-block suffix cache entries."""
+        ``k_stores``/``v_stores`` hold one cache store view per applied
+        block (length ``stop - start``); each block writes its new k/v
+        into its views in place.  Returns the hidden state."""
         stop = self.num_layers if stop is None else stop
-        new_ks, new_vs = [], []
         for i in range(start, stop):
-            hidden, k_new, v_new = self.blocks[i].forward_decode(
-                hidden,
-                k_prefixes[i - start],
-                v_prefixes[i - start],
-                mask,
-                cos_t,
-                sin_t,
+            hidden = self.blocks[i].forward_decode(
+                hidden, k_stores[i - start], v_stores[i - start],
+                mask, cos_t, sin_t, pos,
             )
-            new_ks.append(k_new)
-            new_vs.append(v_new)
-        return hidden, new_ks, new_vs
+        return hidden
 
     def head(self, hidden: Tensor) -> Tensor:
         """Final norm + (tied or separate) unembedding."""

@@ -20,7 +20,7 @@ from .adaptive import (
     VotingCombiner,
 )
 from .adaptive.voting import _STRATEGIES as _VOTING_STRATEGIES
-from .dist import DistConfig, PipelineAdaptiveTrainer
+from .dist import DistConfig, PipelineAdaptiveTrainer, plan_for_model
 from .eval.memory import MemoryReport, model_weight_bytes
 from .hw import (
     AcceleratorSpec,
@@ -31,6 +31,7 @@ from .hw import (
 )
 from .hw.search import _SEARCHERS
 from .luc import (
+    LayerCompression,
     LUCPolicy,
     apply_luc,
     enumerate_layer_options,
@@ -38,10 +39,22 @@ from .luc import (
     remove_luc,
     search_policy,
 )
+from .luc.search import _POLICY_SEARCHERS, _validate_budget
+from .luc.sensitivity import check_metric
 from .nn.slicing import SliceSpec, rotate_and_slice, slice_spec
 from .nn.transformer import TransformerLM
 from .parallel import EvalCache
+from .parallel.pool import resolve_workers
+from .quant import SUPPORTED_BITS
 from .tensor import Tensor
+
+
+def _field(name: str, check, *args) -> None:
+    """Run an existing validation rule; name the config field it fails on."""
+    try:
+        check(*args)
+    except ValueError as exc:
+        raise ValueError(f"{name}: {exc}") from None
 
 
 @dataclasses.dataclass
@@ -75,8 +88,30 @@ class EdgeLLMConfig:
     stage_plan: Optional[str] = None
 
     def __post_init__(self):
-        # Unknown names would otherwise surface only in calibrate_voting,
-        # after compress and adapt have run, or when an iteration is priced.
+        # Every check here would otherwise fail only inside compress or
+        # adapt, or when an iteration is priced.  Each reuses the rule
+        # the late check runs.
+        for bits in self.bit_options:
+            if bits not in SUPPORTED_BITS:
+                raise ValueError(
+                    f"bit_options: unsupported bit-width {bits}; "
+                    f"choose from {SUPPORTED_BITS}"
+                )
+        for ratio in self.prune_options:
+            _field("prune_options", LayerCompression, 16, ratio)
+        for ratio in self.slice_options:
+            _field("slice_options", LayerCompression, 16, 0.0, ratio)
+        options = enumerate_layer_options(
+            self.bit_options, self.prune_options, self.slice_options
+        )
+        _field("compute_budget", _validate_budget, self.compute_budget, options)
+        _field("sensitivity_metric", check_metric, self.sensitivity_metric, options)
+        if self.policy_search not in _POLICY_SEARCHERS:
+            raise ValueError(
+                f"policy_search must be one of {sorted(_POLICY_SEARCHERS)}, "
+                f"got {self.policy_search!r}"
+            )
+        resolve_workers(self.workers)
         if self.voting_strategy not in _VOTING_STRATEGIES:
             raise ValueError(
                 f"voting_strategy must be one of {_VOTING_STRATEGIES}, "
@@ -103,9 +138,13 @@ class EdgeLLM:
     def __init__(self, model: TransformerLM, config: Optional[EdgeLLMConfig] = None):
         self.model = model
         self.config = config or EdgeLLMConfig()
-        # Tuning settings that depend on the model (exit points, window,
-        # schedule name) fail here, not in adapt() after compress has run.
+        # Settings that depend on the model (exit points, window, schedule
+        # name, more stages than blocks) fail here, not in adapt() after
+        # compress has run.
         self.config.tuning.schedule_for(model.num_layers)
+        if self.config.shards > 1:
+            _field("shards", plan_for_model, model, self.config.shards,
+                   8, 32, self.config.stage_plan)
         self.policy: Optional[LUCPolicy] = None
         self.slice_spec: Optional[SliceSpec] = slice_spec(model)
         self.trainer: Optional[

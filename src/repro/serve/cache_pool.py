@@ -1,27 +1,29 @@
 """KV-cache pooling: per-request cache blocks + a prefix-sharing radix trie.
 
 A *block* is one request's decoding state — a list of per-layer
-:class:`~repro.nn.attention.KVCache` objects.  The pool hands blocks out
+:class:`~repro.nn.attention.KVCache` handles.  The pool hands blocks out
 at admission, takes them back at retirement, and recycles the reset
-objects for the next request, so a long serving run allocates a bounded
-set of cache containers no matter how many requests flow through.
+handles for the next request.  The pool owns no KV storage itself: the
+serving engine binds a block to a slot of its
+:class:`~repro.nn.attention.KVStore` at prefill, and resetting the block
+at release hands the slot back.
 
 **Prefix sharing** (``share_prefixes=True``) adds a radix trie of
 immutable KV segments over prompt token sequences.  A request whose
 prompt shares a prefix with earlier traffic (system prompts, resumed
-requests) *leases* the matching trie path — its per-layer caches become
-:class:`~repro.nn.attention.SharedKVCacheView` objects aliasing the
-shared arrays — and prefill only computes the unshared suffix.  Trie
-nodes are refcounted by lease; copy-on-write in the view keeps the
-shared arrays immutable if a lessee ever truncates into them.  Nodes
-with no lessee are evicted LRU, leaf-up, when the budget needs room.
+requests) *leases* the matching trie path: the lease pins the path's
+segments and copies them into the request's block once, at admission,
+and prefill only computes the unshared suffix.  No block aliases a trie
+segment, so a lessee's appends and truncations never reach the trie.
+Trie nodes are refcounted by lease; nodes with no lessee are evicted
+LRU, leaf-up, when the budget needs room.
 
 Budget accounting is by *reserved* tokens and deduplicated storage: a
 request reserves only its unshared worst-case footprint
 (``prompt_len - shared_len + max_new_tokens``), while every shared trie
 token is counted exactly once no matter how many requests lease it.
-``resident_tokens`` likewise reports unique tokens: private tail tokens
-actually cached plus trie tokens (deduplicated).
+``resident_tokens`` likewise reports unique tokens: each request's
+tokens past its leased prefix plus trie tokens (deduplicated).
 
 Pool state is visible through ``repro.obs``:
 
@@ -43,7 +45,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..nn.attention import KVCache, SharedKVCacheView
+from ..nn.attention import KVCache
 from ..obs import get_registry
 
 
@@ -52,9 +54,8 @@ class _TrieNode:
 
     ``tokens`` is the edge label; ``k[layer]``/``v[layer]`` hold this
     span's cache entries, shape ``(1, kv_heads, len(tokens), head_dim)``.
-    Segments are non-overlapping — the prefix's full arrays are the
-    concatenation of the spans along the root path, memoized per node in
-    ``full_k``/``full_v`` (immutable, so lessees share the memo).
+    Segments are non-overlapping — the prefix's entries are the spans
+    along the root path, in order.
 
     A node holds its parent weakly (parents own their children), so a
     dropped trie or an evicted subtree is freed by refcount alone, not
@@ -63,7 +64,7 @@ class _TrieNode:
 
     __slots__ = (
         "tokens", "k", "v", "children", "_parent", "refcount", "stamp",
-        "full_k", "full_v", "__weakref__",
+        "__weakref__",
     )
 
     def __init__(self, tokens: Tuple[int, ...], k: List[np.ndarray],
@@ -75,8 +76,6 @@ class _TrieNode:
         self.parent = parent
         self.refcount = 0
         self.stamp = 0
-        self.full_k: Optional[List[np.ndarray]] = None
-        self.full_v: Optional[List[np.ndarray]] = None
 
     @property
     def parent(self) -> Optional["_TrieNode"]:
@@ -102,11 +101,10 @@ class _TrieNode:
 class PrefixTrie:
     """Radix trie of immutable, refcounted KV segments keyed by tokens.
 
-    The trie never copies segment arrays on lease — lessees receive the
-    memoized root-path concatenation, shared between every request on the
-    same path.  ``insert`` slices (copies) the inserted arrays into
-    non-overlapping segments; ``lease`` splits nodes so leased paths end
-    on node boundaries, keeping refcounts exact per segment.
+    ``insert`` copies the inserted arrays into non-overlapping segments,
+    which are never written again.  ``pin`` (and ``lease``, which also
+    returns the prefix's arrays) splits nodes so pinned paths end on node
+    boundaries, keeping refcounts exact per segment.
     """
 
     def __init__(self, num_layers: int):
@@ -192,31 +190,43 @@ class PrefixTrie:
             node = child
         return matched
 
-    def lease(
+    def pin(
         self, tokens: Sequence[int], max_tokens: Optional[int] = None
-    ) -> Tuple[int, List[np.ndarray], List[np.ndarray]]:
-        """Pin the longest stored prefix of ``tokens``; return its arrays.
+    ) -> Tuple[int, List[_TrieNode]]:
+        """Pin the longest stored prefix of ``tokens``; return its length
+        and root path.
 
-        Returns ``(length, k_list, v_list)`` where the per-layer arrays
-        cover positions ``[0, length)``.  The path's nodes are increfed;
-        balance each successful lease with :meth:`release`.  ``max_tokens``
-        caps the leased length (a serving engine leases at most
-        ``len(prompt) - 1`` so prefill always has one token to run).
+        The path's nodes are increfed; balance each pin of a non-empty
+        prefix with :meth:`release`.  ``max_tokens`` caps the pinned
+        length (a serving engine pins at most ``len(prompt) - 1`` so
+        prefill always has one token to run).
         """
         tokens = tuple(int(t) for t in tokens)
         length = self.match(tokens)
         if max_tokens is not None:
             length = min(length, max_tokens)
         if length == 0:
-            return 0, [], []
+            return 0, []
         path = self._path_for(tokens[:length])
         self._clock += 1
         for node in path:
             node.refcount += 1
             node.stamp = self._clock
-        tip = path[-1]
-        k_full, v_full = self._materialize(tip)
-        return length, k_full, v_full
+        return length, path
+
+    def lease(
+        self, tokens: Sequence[int], max_tokens: Optional[int] = None
+    ) -> Tuple[int, List[np.ndarray], List[np.ndarray]]:
+        """:meth:`pin`, returning ``(length, k_list, v_list)``: per-layer
+        arrays covering positions ``[0, length)`` (fresh copies)."""
+        length, path = self.pin(tokens, max_tokens)
+        if not path:
+            return 0, [], []
+        k_list = [np.concatenate([node.k[layer] for node in path], axis=2)
+                  for layer in range(self.num_layers)]
+        v_list = [np.concatenate([node.v[layer] for node in path], axis=2)
+                  for layer in range(self.num_layers)]
+        return length, k_list, v_list
 
     def release(self, tokens: Sequence[int], length: int) -> None:
         """Unpin a previously leased prefix of exactly ``length`` tokens."""
@@ -244,8 +254,9 @@ class PrefixTrie:
     ) -> int:
         """Store KV for ``tokens`` (arrays cover the whole sequence).
 
-        Only the unmatched suffix is copied into a new segment; returns
-        the number of newly stored tokens (0 if fully present).
+        Only the unmatched suffix is copied into a new segment (the
+        arrays may be views of live caches); returns the number of newly
+        stored tokens (0 if fully present).
         """
         tokens = tuple(int(t) for t in tokens)
         if not tokens:
@@ -265,10 +276,8 @@ class PrefixTrie:
             return 0
         parent = self._node_at(tokens[:matched])
         span = tokens[matched:]
-        seg_k = [np.ascontiguousarray(a[:, :, matched:len(tokens), :])
-                 for a in k_full]
-        seg_v = [np.ascontiguousarray(a[:, :, matched:len(tokens), :])
-                 for a in v_full]
+        seg_k = [a[:, :, matched:len(tokens), :].copy() for a in k_full]
+        seg_v = [a[:, :, matched:len(tokens), :].copy() for a in v_full]
         node = _TrieNode(span, seg_k, seg_v, parent=parent)
         self._clock += 1
         node.stamp = self._clock
@@ -294,25 +303,6 @@ class PrefixTrie:
         return freed
 
     # -- internals -----------------------------------------------------
-    def _materialize(self, node: _TrieNode) -> Tuple[List[np.ndarray], List[np.ndarray]]:
-        """Root-path concatenation per layer, memoized on the node.
-
-        Immutable once built, so every lessee of the same path shares it.
-        """
-        if node.full_k is None:
-            if node.parent is self._root or node.parent is None:
-                node.full_k = list(node.k)
-                node.full_v = list(node.v)
-            else:
-                pk, pv = self._materialize(node.parent)
-                node.full_k = [
-                    np.concatenate([p, s], axis=2) for p, s in zip(pk, node.k)
-                ]
-                node.full_v = [
-                    np.concatenate([p, s], axis=2) for p, s in zip(pv, node.v)
-                ]
-        return node.full_k, node.full_v
-
     def _node_at(self, tokens: Tuple[int, ...]) -> _TrieNode:
         """Node whose root path equals ``tokens`` exactly, splitting a
         node if the boundary falls mid-span.  ``tokens`` must be stored."""
@@ -359,7 +349,7 @@ class PrefixTrie:
 
     def _split(self, node: _TrieNode, at: int) -> _TrieNode:
         """Split ``node``'s span at ``at``: parent keeps ``span[:at]``,
-        a new child takes the rest (children, refcount and memo follow)."""
+        a new child takes the rest (children and refcount follow)."""
         head_k = [np.ascontiguousarray(a[:, :, :at, :]) for a in node.k]
         head_v = [np.ascontiguousarray(a[:, :, :at, :]) for a in node.v]
         tail_k = [np.ascontiguousarray(a[:, :, at:, :]) for a in node.k]
@@ -373,7 +363,6 @@ class PrefixTrie:
         node.tokens = node.tokens[at:]
         node.k, node.v = tail_k, tail_v
         node.parent = head
-        node.full_k = node.full_v = None
         head.children[node.tokens[0]] = node
         return head
 
@@ -384,12 +373,6 @@ class _Lease:
     reserved_tokens: int
     shared_tokens: Tuple[int, ...] = ()
     shared_len: int = 0
-
-    @property
-    def shared(self) -> bool:
-        return bool(self.shared_tokens) or isinstance(
-            self.block[0], SharedKVCacheView
-        )
 
 
 class CachePool:
@@ -423,17 +406,12 @@ class CachePool:
         return self.trie.resident_tokens() if self.trie is not None else 0
 
     def resident_tokens(self) -> int:
-        """Unique tokens actually cached right now: private tail tokens
-        per active block plus deduplicated trie tokens."""
-        private = 0
-        for lease in self._leases.values():
-            cache = lease.block[0]
-            if isinstance(cache, SharedKVCacheView):
-                # After a COW detach the kept prefix lives in the tail,
-                # so tail_length is always the private token count.
-                private += cache.tail_length
-            else:
-                private += cache.length
+        """Unique tokens actually cached right now: each active block's
+        tokens past its pinned trie prefix plus deduplicated trie tokens."""
+        private = sum(
+            max(lease.block[0].length - lease.shared_len, 0)
+            for lease in self._leases.values()
+        )
         return private + self.shared_resident_tokens()
 
     def occupancy(self) -> float:
@@ -482,13 +460,7 @@ class CachePool:
     def allocate(self, request_id: str, tokens: int) -> List[KVCache]:
         """Lease a plain cache block to ``request_id`` reserving ``tokens``."""
         self._check_admission(request_id, tokens)
-        reg = get_registry()
-        if self._free:
-            block = self._free.pop()
-            reg.counter("serve/pool/recycles").inc()
-        else:
-            block = [KVCache() for _ in range(self.num_layers)]
-            reg.counter("serve/pool/allocs").inc()
+        block = self._block()
         self._leases[request_id] = _Lease(block, tokens)
         self._publish()
         return block
@@ -496,7 +468,7 @@ class CachePool:
     def allocate_shared(
         self, request_id: str, prompt: Sequence[int], reserved_tokens: int
     ) -> Tuple[List[KVCache], int]:
-        """Lease a block whose caches view the trie's longest prefix of
+        """Lease a block holding a copy of the trie's longest prefix of
         ``prompt`` (capped at ``len(prompt) - 1`` so prefill always has at
         least one token to run).  Returns ``(block, cached_len)``; the
         caller prefills only ``prompt[cached_len:]``.
@@ -504,29 +476,24 @@ class CachePool:
         if self.trie is None:
             raise ValueError("pool was built without share_prefixes")
         prompt = tuple(int(t) for t in prompt)
-        # Lease (pinning the path) before the admission check so the
-        # check's make-room eviction cannot drop the very prefix this
-        # request is about to reuse.
-        cached_len, k_full, v_full = self.trie.lease(
-            prompt, max_tokens=max(len(prompt) - 1, 0)
-        )
+        # Pin the path before the admission check so the check's
+        # make-room eviction cannot drop the very prefix this request is
+        # about to reuse.
+        cached_len, path = self.trie.pin(prompt, max_tokens=max(len(prompt) - 1, 0))
         try:
             self._check_admission(request_id, reserved_tokens - cached_len)
         except Exception:
             if cached_len:
                 self.trie.release(prompt[:cached_len], cached_len)
             raise
-        reg = get_registry()
-        reg.counter("serve/pool/allocs").inc()
+        block = self._block()
         if cached_len:
+            reg = get_registry()
             reg.counter("serve/pool/prefix_hits").inc()
             reg.counter("serve/pool/prefix_tokens_reused").inc(cached_len)
-            block: List[KVCache] = [
-                SharedKVCacheView(k_full[i], v_full[i])
-                for i in range(self.num_layers)
-            ]
-        else:
-            block = [SharedKVCacheView() for _ in range(self.num_layers)]
+            for node in path:
+                for layer, cache in enumerate(block):
+                    cache.append(node.k[layer], node.v[layer])
         self._leases[request_id] = _Lease(
             block, reserved_tokens - cached_len,
             shared_tokens=prompt[:cached_len], shared_len=cached_len,
@@ -536,7 +503,7 @@ class CachePool:
 
     def commit_prefix(self, request_id: str, tokens: Sequence[int]) -> int:
         """Publish ``request_id``'s first ``len(tokens)`` cached positions
-        into the trie and rebase its views onto the shared arrays.
+        into the trie and move its pin onto the stored path.
 
         Called after prefill: the freshly computed prompt suffix becomes
         leasable by later requests, and this request's private
@@ -553,27 +520,14 @@ class CachePool:
                 f"commit covers {len(tokens)} tokens but cache holds "
                 f"{block[0].length}"
             )
-        if any(
-            isinstance(c, SharedKVCacheView) and c.detached for c in block
-        ):
-            # A COW already divorced this block from the trie; nothing to
-            # publish without re-deriving state — skip (rare: rollback
-            # into the shared prefix before commit).
-            return 0
-        k_full = [np.asarray(c.k) for c in block]
-        v_full = [np.asarray(c.v) for c in block]
-        self.trie.insert(tokens, k_full, v_full)
-        new_len, shared_k, shared_v = self.trie.lease(
-            tokens, max_tokens=len(tokens)
-        )
+        self.trie.insert(tokens, [c.k for c in block], [c.v for c in block])
+        new_len, _ = self.trie.pin(tokens, max_tokens=len(tokens))
         if lease.shared_len:
             self.trie.release(lease.shared_tokens, lease.shared_len)
         newly_shared = new_len - lease.shared_len
         lease.reserved_tokens -= newly_shared
         lease.shared_tokens = tokens[:new_len]
         lease.shared_len = new_len
-        for layer, cache in enumerate(block):
-            cache.rebase(shared_k[layer], shared_v[layer])
         self._publish()
         return newly_shared
 
@@ -586,39 +540,38 @@ class CachePool:
         """
         lease = self._require(request_id)
         tokens = tuple(int(t) for t in tokens)
-        if self.trie is not None and tokens:
-            block = lease.block
-            covered = min(len(tokens), block[0].length)
-            detached = any(
-                isinstance(c, SharedKVCacheView) and c.detached for c in block
+        block = lease.block
+        covered = min(len(tokens), block[0].length)
+        if self.trie is not None and covered:
+            self.trie.insert(
+                tokens[:covered],
+                [c.k[:, :, :covered] for c in block],
+                [c.v[:, :, :covered] for c in block],
             )
-            if covered and not detached:
-                k_full = [np.asarray(c.k)[:, :, :covered, :] for c in block]
-                v_full = [np.asarray(c.v)[:, :, :covered, :] for c in block]
-                self.trie.insert(tokens[:covered], k_full, v_full)
         self.release(request_id)
 
     def release(self, request_id: str) -> None:
-        """Take the block back; recycle plain blocks, unpin trie leases."""
+        """Take the block back, unpin its trie prefix and recycle it."""
         lease = self._leases.pop(request_id, None)
         if lease is None:
             raise KeyError(f"request {request_id!r} holds no block")
-        if lease.shared:
-            if lease.shared_len:
-                # The pin is held by the lease, not the views, so it is
-                # returned exactly once here even if a COW truncate
-                # already detached the views from the shared arrays.
-                self.trie.release(lease.shared_tokens, lease.shared_len)
-            for cache in lease.block:
-                cache._on_detach = None
-                cache.reset()
-        else:
-            for cache in lease.block:
-                cache.reset()
-            self._free.append(lease.block)
+        if lease.shared_len:
+            self.trie.release(lease.shared_tokens, lease.shared_len)
+        for cache in lease.block:
+            cache.reset()
+        self._free.append(lease.block)
         self._publish()
 
     # -- internals -----------------------------------------------------
+    def _block(self) -> List[KVCache]:
+        """A recycled block, or a new one."""
+        reg = get_registry()
+        if self._free:
+            reg.counter("serve/pool/recycles").inc()
+            return self._free.pop()
+        reg.counter("serve/pool/allocs").inc()
+        return [KVCache() for _ in range(self.num_layers)]
+
     def _require(self, request_id: str) -> _Lease:
         lease = self._leases.get(request_id)
         if lease is None:

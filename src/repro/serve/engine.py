@@ -3,47 +3,54 @@
 The engine turns the repo's scoring-only model stack into a
 request-level generation runtime:
 
+* **One KV store.**  The engine owns a
+  :class:`~repro.nn.attention.KVStore`: per layer, a k and a v array of
+  shape ``(slots, kv_heads, max_len, head_dim)``.  A request's cache is a
+  (slot, length) handle into it — its per-layer
+  :class:`~repro.nn.attention.KVCache` list (leased from the cache
+  pool), which the engine binds to a slot the first time it sees it.
 * **Prefill** runs a request's prompt through the model once (batch 1),
-  filling that request's per-layer cache block and returning last-position
-  logits for the first sampled token.
+  appending its entries into the request's slot in place and returning
+  last-position logits for the first sampled token.
 * **Batched decode** advances many resident requests one token in a
-  single model forward.  Each request keeps its own per-layer
-  :class:`~repro.nn.attention.KVCache` block (leased from the cache
-  pool).  Every step runs on one padded-slab layout: per layer, the
-  blocks are stacked into a ``(batch, kv_heads, bucket, head_dim)`` slab
-  whose width is the longest row rounded up to ``DECODE_BUCKET``, each
-  row's padding tail is masked, and each row's RoPE tables are gathered
-  at its true position (``TransformerBlock.forward_decode``).  One commit
-  step then appends the new key/value entries to the per-request blocks.
+  single model forward.  The rows run as one contiguous slice of slots:
+  per layer, the graph takes ``(batch, kv_heads, W, head_dim)`` views of
+  the store, where ``W`` is the longest row plus the new positions
+  rounded up to ``DECODE_BUCKET`` (capped at ``max_len``), writes each
+  row's new key/value at its own position in place (``kv_write``), and
+  attends with keys past each query's position masked
+  (``TransformerBlock.forward_decode``).  Keys sit in true-position
+  order and each row's RoPE tables are gathered at its true position.
+  No step copies a cached position, and no graph concatenates anything.
   Batch 1 is a batch of one.
 * **Voting decode** replaces the final head with the calibrated mixture
   of exit heads (:class:`~repro.adaptive.VotingCombiner`), computed
   through the combiner's logits-only fast path on last-position logits.
-  It runs the same blocks on the same slabs, one segment between
+  It runs the same blocks on the same store views, one segment between
   consecutive exit points at a time.  With a
   ``confidence_threshold``, decoding exits early per row: the shallowest
   exit whose own max-probability clears the threshold decides that row's
   token, and the mixture is renormalized over the exits actually
   computed.  Skipped layers still receive a cache entry for the token —
   key/value projections of the exit hidden state (CALM-style state
-  propagation) — so any later token may run the full depth.
+  propagation), written into the row's slot — so any later token may run
+  the full depth.
 
 Graph capture is a cache over that one path, switched by the process-wide
 toggle (:func:`repro.tensor.graph_capture`).  With capture on, plain,
-speculative and voted steps replay a graph captured once per (batch,
-bucket) shape — voted decode one per exit segment — and the decode slabs
-persist across steps: the new token's k/v is written in place and the
-slabs are revalidated against the per-request blocks before reuse.  With
-capture off, every step re-stacks the slabs and traces the same builds —
-the stateless reference the capture on ≡ off token tests compare
-against.  Every graph pins the module structure counter
+speculative and voted steps replay a graph captured once per (kind,
+batch, width) key — voted decode one per exit segment — with the store
+views, mask, positions and RoPE tables as inputs.  With capture off,
+every step traces the same builds into the same store — the reference
+the capture on ≡ off tests compare against, byte for byte.  Every graph
+pins the module structure counter
 (:func:`repro.nn.module.structure_version`), so a structural rewrite
 anywhere (slicing, surgery, a new buffer) re-captures instead of
 replaying stale structure.
 
-Determinism: a request's logits depend only on its own cache rows
-(masked padding scores underflow to exactly 0 in softmax), so decode
-results are identical whether requests are batched or served one at a
+Determinism: a request's logits depend only on its own slot (masked
+keys score ``-1e9`` and underflow to exactly 0 in softmax), so decode
+tokens are identical whether requests are batched or served one at a
 time.
 
 Compressed models fold automatically: serving runs frozen and under
@@ -58,15 +65,19 @@ prefill and decode step reuses it (see ``docs/architecture.md``).
   draft's tap hidden states — the shallow blocks never run twice — and
   emits ``accepted + 1`` tokens per cycle (the accepted draft run plus
   the full model's own next token, a correction on mismatch or a bonus
-  when every draft survived).  Only the accepted entries are committed
-  to the per-request blocks.  Because every emitted token is the argmax
+  when every draft survived).  Drafts write the shallow layers and the
+  verify pass the deep layers of each row's slot in place; accepting
+  ``a`` drafts advances the row's length by ``a + 1``, so rollback is a
+  length change.  Because every emitted token is the argmax
   of full-depth logits conditioned on previously emitted tokens, greedy
   speculative decode is token-identical to vanilla greedy decode;
   ``draft_k=0`` *is* the vanilla engine.
 
 Counters (active ``repro.obs`` registry): ``serve/prefills``,
 ``serve/prefill_tokens``, ``serve/decode_steps``, ``serve/decode_tokens``,
-``serve/early_exit_tokens``, and for speculative decoding
+``serve/early_exit_tokens``, ``serve/kv/slot_swaps`` (store slots swapped
+so that a decode call's rows form one run; zero while the batch is
+stable), and for speculative decoding
 ``serve/spec/{cycles,rows,draft_tokens,accepted_tokens,emitted_tokens}``
 (``emitted == accepted + rows`` — each row of each cycle emits its
 accepted run plus exactly one full-model token).
@@ -78,7 +89,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..nn.attention import KVCache, apply_rope
+from ..nn.attention import KVCache, KVStore, apply_rope
 from ..nn.module import structure_version
 from ..obs import get_registry
 from ..tensor import (
@@ -89,9 +100,9 @@ from ..tensor import (
     no_grad,
 )
 
-# Slab widths round up to a multiple of this, so one captured graph
-# serves a range of cache lengths; the padding is masked and
-# bitwise-neutral.
+# Attention widths round up to a multiple of this, so one captured
+# graph serves a range of cache lengths; keys past each row's own
+# positions are masked and bitwise-neutral.
 DECODE_BUCKET = 32
 
 
@@ -102,13 +113,15 @@ def _softmax_np(x: np.ndarray, axis: int = -1) -> np.ndarray:
 
 
 class GenerationEngine:
-    """Prefill/decode runtime over per-request KV-cache blocks.
+    """Prefill/decode runtime over per-request KV caches in one store.
 
     Decode entries are any objects exposing ``caches`` (the request's
     per-layer ``KVCache`` list) and ``last_token`` (the most recent token
     id, prompt tail or last generated) — the scheduler's active-request
-    records satisfy this.  The engine puts the model in eval mode at
-    construction and runs everything under ``no_grad``.
+    records satisfy this.  The engine binds each entry's caches to a slot
+    of its :class:`~repro.nn.attention.KVStore` the first time it sees
+    them (normally at :meth:`prefill`).  It puts the model in eval mode
+    at construction and runs everything under ``no_grad``.
     """
 
     def __init__(
@@ -158,12 +171,12 @@ class GenerationEngine:
         self.draft_heads = draft_heads
         self.draft_exit = draft_exit if draft_k > 0 else None
         self.draft_k = draft_k
-        # Decode-step graphs, keyed per (kind, batch, bucket[, ...]).
+        # Decode-step graphs, keyed per (kind, batch, width[, ...]).
         self._graphs = GraphCache()
-        # Persistent decode slabs, kept only while capture is on:
-        # ``(key, ks, vs)``, where ``key`` pins what the slabs mirror
-        # (see :meth:`_slab_key`).
-        self._slabs = None
+        attn = model.blocks[0].attn
+        self.store = KVStore(
+            model.num_layers, attn.num_kv_heads, attn.max_len, attn.head_dim
+        )
         model.eval()
 
     @property
@@ -185,9 +198,11 @@ class GenerationEngine:
     ) -> np.ndarray:
         """Run the prompt into ``caches``; return last-position logits.
 
-        Every layer runs (the prompt's cache entries must be exact), so
-        early exit here affects only which exits vote on the returned
-        logits, not the cached state.
+        The caches are bound to a store slot first, and the prompt's
+        entries are appended into it in place.  Every layer runs (the
+        prompt's cache entries must be exact), so early exit here affects
+        only which exits vote on the returned logits, not the cached
+        state.
 
         ``cached_len > 0`` marks a prefix-shared request: ``caches``
         already hold exact entries for ``prompt[:cached_len]`` (leased
@@ -204,6 +219,8 @@ class GenerationEngine:
             raise ValueError(
                 f"caches hold {caches[0].length} tokens, expected {cached_len}"
             )
+        if caches[0].store is not self.store:
+            self.store.bind(caches)
         ids = np.asarray(prompt[cached_len:], dtype=np.int64)[None, :]
         reg = get_registry()
         reg.counter("serve/prefills").inc()
@@ -236,67 +253,57 @@ class GenerationEngine:
         """
         if not entries:
             raise ValueError("decode_step needs at least one entry")
-        lengths = self._lengths(entries, 1)
+        rows = _Rows(self, entries, 1)
         reg = get_registry()
         reg.counter("serve/decode_steps").inc()
         reg.counter("serve/decode_tokens").inc(len(entries))
-        bucket = self._bucket_len(int(lengths.max()), 1)
-        ks, vs = self._decode_slabs(entries, lengths, bucket)
-        # seq == 1 at the last array position: causality is vacuous, only
-        # the bucket-padding tails need masking.
-        mask = self._pad_mask(lengths, bucket, bucket + 1)[:, None, None, :]
-        cos_t, sin_t = self._rope_slices(lengths, 1)
-        ids = np.array([[e.last_token] for e in entries], dtype=np.int64)
-        inputs = [ids, mask, cos_t, sin_t]
+        ids = np.array([[e.last_token] for e in rows.entries], dtype=np.int64)
+        cos_t, sin_t = self._rope_slices(rows.pos, 1)
+        inputs = [ids, rows.mask(0, 1), cos_t, sin_t, rows.pos]
         with no_grad():
             if self.voting is None:
-                logits, new_ks, new_vs = self._decode_plain(inputs, ks, vs)
+                logits = self._decode_plain(inputs, rows)
                 early = np.zeros(len(entries), dtype=bool)
             else:
-                logits, early, new_ks, new_vs = self._decode_voting(
-                    inputs, ks, vs, lengths
-                )
-        self._commit(entries, new_ks, new_vs, np.ones(len(entries), dtype=np.int64))
-        self._advance_slabs(entries, lengths, ks, vs, new_ks, new_vs)
-        return logits, early
+                logits, early = self._decode_voting(inputs, rows)
+        rows.advance(np.ones(len(entries), dtype=np.int64))
+        return rows.restore(logits), rows.restore(early)
 
-    def _decode_plain(self, inputs, ks, vs):
+    def _decode_plain(self, inputs, rows):
         """Final-head decode through :meth:`_graph_apply`."""
         model = self.model
         n = self.num_layers
 
         def build(tensors):
-            ids_t, mask_t, cos_t, sin_t = tensors[:4]
-            hidden, new_ks, new_vs = model.run_blocks_decode(
-                model.embed_tokens(ids_t), tensors[4 : 4 + n], tensors[4 + n :],
-                mask_t, cos_t, sin_t,
+            ids_t, mask_t, cos_t, sin_t, pos_t = tensors[:5]
+            hidden = model.run_blocks_decode(
+                model.embed_tokens(ids_t), tensors[5 : 5 + n], tensors[5 + n :],
+                mask_t, cos_t, sin_t, pos_t,
             )
-            return [model.head(hidden)] + new_ks + new_vs
+            return [model.head(hidden)]
 
-        key = ("decode", len(inputs[0]), ks[0].shape[2])
-        outs = self._graph_apply(key, inputs + ks + vs, build)
-        return outs[0][:, -1, :], outs[1 : 1 + n], outs[1 + n :]
+        key = ("decode", rows.batch, rows.width)
+        (logits,) = self._graph_apply(key, inputs + rows.ks + rows.vs, build)
+        return logits[:, -1, :]
 
-    def _decode_voting(self, inputs, ks, vs, lengths):
+    def _decode_voting(self, inputs, rows):
         """Voted decode through :meth:`_graph_apply`: one build per
         segment between consecutive exit points, returning the segment's
-        hidden state, the exit logits at its end and its blocks' new k/v.
-        The first segment takes the token ids, later ones the previous
-        segment's hidden state.
+        hidden state and the exit logits at its end; its blocks write
+        their new k/v into the store.  The first segment takes the token
+        ids, later ones the previous segment's hidden state.
 
         Between segments, a row leaves at its first confident exit; it
-        keeps riding along (outputs discarded) until every row has left,
-        and each of its skipped layers gets the cache entry
-        :meth:`_propagate_kv` projects from the frozen exit hidden
-        state."""
+        keeps riding along (outputs discarded) until every row has left.
+        Then each of its skipped layers gets, in its slot, the cache
+        entry :meth:`_propagate_kv` projects from the frozen exit hidden
+        state — over whatever the ride-along wrote there."""
         model = self.model
         n = self.num_layers
-        batch = len(lengths)
+        batch = rows.batch
         per_exit: Dict[int, np.ndarray] = {}
         exit_depth = np.full(batch, n, dtype=np.int64)
         frozen: List[Optional[np.ndarray]] = [None] * batch
-        new_ks: List[np.ndarray] = []
-        new_vs: List[np.ndarray] = []
         hidden = inputs[0]
         start = 0
         for stop in self.voting.exit_points:
@@ -305,23 +312,22 @@ class GenerationEngine:
             width = stop - start
 
             def build(tensors, start=start, stop=stop, width=width):
-                hid_t, mask_t, cos_tt, sin_tt = tensors[:4]
+                hid_t, mask_t, cos_tt, sin_tt, pos_t = tensors[:5]
                 if start == 0:
                     hid_t = model.embed_tokens(hid_t)
-                hid_t, seg_ks, seg_vs = model.run_blocks_decode(
-                    hid_t, tensors[4 : 4 + width], tensors[4 + width :],
-                    mask_t, cos_tt, sin_tt, start, stop,
+                hid_t = model.run_blocks_decode(
+                    hid_t, tensors[5 : 5 + width], tensors[5 + width :],
+                    mask_t, cos_tt, sin_tt, pos_t, start, stop,
                 )
-                return [hid_t, self._exit_logits(stop, hid_t)] + seg_ks + seg_vs
+                return [hid_t, self._exit_logits(stop, hid_t)]
 
-            key = ("vote", batch, ks[0].shape[2], start, stop)
-            outs = self._graph_apply(
-                key, [hidden] + inputs[1:] + ks[start:stop] + vs[start:stop], build
+            key = ("vote", batch, rows.width, start, stop)
+            hidden, logits = self._graph_apply(
+                key,
+                [hidden] + inputs[1:] + rows.ks[start:stop] + rows.vs[start:stop],
+                build,
             )
-            hidden = outs[0]
-            per_exit[stop] = outs[1][:, -1, :]
-            new_ks += outs[2 : 2 + width]
-            new_vs += outs[2 + width :]
+            per_exit[stop] = logits[:, -1, :]
             if stop < n:
                 newly = (exit_depth == n) & self._confident(per_exit[stop])
                 exit_depth[newly] = stop
@@ -329,20 +335,16 @@ class GenerationEngine:
                     frozen[b] = hidden[b, -1].copy()
             start = stop
         for layer in range(n):
-            rows = np.flatnonzero(exit_depth <= layer)
-            if not rows.size:
-                continue
-            if layer == len(new_ks):  # no row ran this block
-                new_ks.append(np.empty_like(new_ks[0]))
-                new_vs.append(np.empty_like(new_vs[0]))
-            for b in rows:
-                k, v = self._propagate_kv(layer, frozen[b], int(lengths[b]))
-                new_ks[layer][b], new_vs[layer][b] = k[0], v[0]
+            for b in np.flatnonzero(exit_depth <= layer):
+                p = int(rows.pos[b])
+                k, v = self._propagate_kv(layer, frozen[b], p)
+                rows.ks[layer][b, :, p] = k[0, :, 0]
+                rows.vs[layer][b, :, p] = v[0, :, 0]
                 frozen[b] = self._identity_advance(layer, frozen[b])
         early = exit_depth < n
         if early.any():
             get_registry().counter("serve/early_exit_tokens").inc(int(early.sum()))
-        return self._combine_rows(per_exit, exit_depth), early, new_ks, new_vs
+        return self._combine_rows(per_exit, exit_depth), early
 
     # ------------------------------------------------------------------
     # speculative decode (draft k tokens shallow, verify full-depth once)
@@ -363,9 +365,8 @@ class GenerationEngine:
             raise ValueError("engine was not built with draft_k > 0")
         if not entries:
             raise ValueError("speculative_decode_step needs at least one entry")
-        attn = self.model.blocks[0].attn
         longest = max(e.caches[0].length for e in entries)
-        k = min(self.draft_k, attn.max_len - longest - 1)
+        k = min(self.draft_k, self.store.max_len - longest - 1)
         if max_new is not None:
             if max_new < 1:
                 raise ValueError("max_new must be >= 1")
@@ -389,70 +390,61 @@ class GenerationEngine:
         return outs
 
     def _speculative(self, entries: Sequence, k: int):
-        """Draft/verify cycle through :meth:`_graph_apply`: one build per
-        draft offset ``j`` (shallow blocks + draft head) and one for the
-        full-depth verify suffix.  Key arrays stay in ``[valid prefix |
-        pad | suffix]`` order, so causality over array order holds."""
+        """Draft/verify cycle through :meth:`_graph_apply`: ``k + 1``
+        replays of one draft build (shallow blocks + draft head, one
+        position each) and one full-depth verify build over the ``k + 1``
+        suffix.  Drafts write the shallow layers at ``pos + j``, verify
+        writes the deep layers at ``pos .. pos + k``; accepting ``a``
+        drafts advances a row by ``a + 1``, and the rejected positions
+        past it are masked until a later step overwrites them."""
         model = self.model
         d = self.draft_exit
-        batch = len(entries)
         num_layers = self.num_layers
-        lengths0 = self._lengths(entries, k + 1)
-        bucket = self._bucket_len(int(lengths0.max()), k + 1)
-        ks, vs = self._stack_caches(entries, bucket)
-        shallow_k, shallow_v = ks[:d], vs[:d]
-        tokens = np.array([e.last_token for e in entries], dtype=np.int64)
+        rows = _Rows(self, entries, k + 1)
+        batch = rows.batch
+        tokens = np.array([e.last_token for e in rows.entries], dtype=np.int64)
         drafts = np.empty((batch, k), dtype=np.int64)
         taps: List[np.ndarray] = []
+        key = ("draft", batch, rows.width, d)
+
+        def build(tensors):
+            ids_t, mask_t, cos_tt, sin_tt, pos_t = tensors[:5]
+            hidden = model.run_blocks_decode(
+                model.embed_tokens(ids_t), tensors[5 : 5 + d], tensors[5 + d :],
+                mask_t, cos_tt, sin_tt, pos_t, 0, d,
+            )
+            return [hidden, self.draft_heads.logits_at(d, hidden)]
+
         for j in range(k + 1):
-            total = bucket + j + 1
-            mask = self._pad_mask(lengths0, bucket, total)[:, None, None, :]
-            cos_t, sin_t = self._rope_slices(lengths0 + j, 1)
-            arrays = [tokens[:, None], mask, cos_t, sin_t] + shallow_k + shallow_v
-            want_logits = j < k
-            key = ("draft", batch, bucket, j, d, want_logits)
-
-            def build(tensors, want_logits=want_logits):
-                ids_t, mask_t, cos_tt, sin_tt = tensors[:4]
-                hidden = model.embed_tokens(ids_t)
-                hidden, new_ks, new_vs = model.run_blocks_decode(
-                    hidden, tensors[4 : 4 + d], tensors[4 + d :],
-                    mask_t, cos_tt, sin_tt, 0, d,
-                )
-                outputs = [hidden] + new_ks + new_vs
-                if want_logits:
-                    outputs.append(self.draft_heads.logits_at(d, hidden))
-                return outputs
-
-            outs = self._graph_apply(key, arrays, build)
-            taps.append(outs[0])
-            for i in range(d):
-                shallow_k[i] = np.concatenate([shallow_k[i], outs[1 + i]], axis=2)
-                shallow_v[i] = np.concatenate([shallow_v[i], outs[1 + d + i]], axis=2)
-            if want_logits:
-                tokens = outs[1 + 2 * d][:, -1, :].argmax(axis=-1)
+            pos = rows.pos + j
+            cos_t, sin_t = self._rope_slices(pos, 1)
+            arrays = [tokens[:, None], rows.mask(j, 1), cos_t, sin_t, pos]
+            hidden, logits = self._graph_apply(
+                key, arrays + rows.ks[:d] + rows.vs[:d], build
+            )
+            taps.append(hidden)
+            if j < k:
+                tokens = logits[:, -1, :].argmax(axis=-1)
                 drafts[:, j] = tokens
-        total = bucket + k + 1
-        pad = self._pad_mask(lengths0, bucket, total)
-        q_pos = np.arange(bucket, total)[:, None]
-        k_pos = np.arange(total)[None, :]
-        mask = (k_pos > q_pos)[None, None, :, :] | pad[:, None, None, :]
-        cos_t, sin_t = self._rope_slices(lengths0, k + 1)
+        cos_t, sin_t = self._rope_slices(rows.pos, k + 1)
         suffix = np.concatenate(taps, axis=1)
-        key = ("verify", batch, bucket, k, d)
+        key = ("verify", batch, rows.width, k, d)
 
         def build_verify(tensors):
-            hid_t, mask_t, cos_tt, sin_tt = tensors[:4]
-            hidden, new_ks, new_vs = model.run_blocks_decode(
-                hid_t, tensors[4 : 4 + num_layers - d], tensors[4 + num_layers - d :],
-                mask_t, cos_tt, sin_tt, d, num_layers,
+            hid_t, mask_t, cos_tt, sin_tt, pos_t = tensors[:5]
+            hidden = model.run_blocks_decode(
+                hid_t, tensors[5 : 5 + num_layers - d], tensors[5 + num_layers - d :],
+                mask_t, cos_tt, sin_tt, pos_t, d, num_layers,
             )
-            return [model.head(hidden)] + new_ks + new_vs
+            return [model.head(hidden)]
 
-        outs = self._graph_apply(
-            key, [suffix, mask, cos_t, sin_t] + ks[d:] + vs[d:], build_verify
+        (logits,) = self._graph_apply(
+            key,
+            [suffix, rows.mask(0, k + 1), cos_t, sin_t, rows.pos]
+            + rows.ks[d:] + rows.vs[d:],
+            build_verify,
         )
-        verify = outs[0].argmax(axis=-1)  # (batch, k+1)
+        verify = logits.argmax(axis=-1)  # (batch, k+1)
         accepted = np.zeros(batch, dtype=np.int64)
         result: List[List[int]] = []
         for b in range(batch):
@@ -461,13 +453,11 @@ class GenerationEngine:
                 a += 1
             accepted[b] = a
             result.append([int(t) for t in drafts[b, :a]] + [int(verify[b, a])])
-        new_ks = [s[:, :, bucket:, :] for s in shallow_k] + outs[1 : 1 + num_layers - d]
-        new_vs = [s[:, :, bucket:, :] for s in shallow_v] + outs[1 + num_layers - d :]
-        self._commit(entries, new_ks, new_vs, accepted + 1)
-        return result, accepted
+        rows.advance(accepted + 1)
+        return [result[i] for i in rows.inverse], rows.restore(accepted)
 
     # ------------------------------------------------------------------
-    # the padded-slab path shared by every decode mode
+    # the store path shared by every decode mode
     # ------------------------------------------------------------------
     def _graph_apply(self, key, arrays, build) -> List[np.ndarray]:
         """Run ``build`` (declared-input Tensors to output Tensors) on
@@ -498,24 +488,6 @@ class GenerationEngine:
         cache.store(key, recorder.finalize(outputs=outputs))
         return [np.asarray(o.data) for o in outputs]
 
-    def _lengths(self, entries, seq: int) -> np.ndarray:
-        """Per-row cache lengths, after checking that ``seq`` new
-        positions fit under the model's max_len."""
-        lengths = np.array([e.caches[0].length for e in entries], dtype=np.int64)
-        limit = self.model.blocks[0].attn.max_len
-        total = int(lengths.max()) + seq
-        if total > limit:
-            raise ValueError(f"sequence length {total} exceeds max_len {limit}")
-        return lengths
-
-    def _bucket_len(self, longest: int, seq: int) -> int:
-        """Slab width: ``longest`` rounded up to the ``DECODE_BUCKET``
-        grid, or ``longest`` itself when the rounded width would leave no
-        room for ``seq`` new positions under the model's max_len."""
-        rounded = -(-longest // DECODE_BUCKET) * DECODE_BUCKET
-        limit = self.model.blocks[0].attn.max_len - seq
-        return longest if rounded > limit else rounded
-
     def _rope_slices(self, positions: np.ndarray, seq: int):
         """Per-row cos/sin tables ``(batch, 1, seq, head_dim // 2)``."""
         attn = self.model.blocks[0].attn
@@ -524,84 +496,6 @@ class GenerationEngine:
             attn.rope_cos[pos][:, None, :, :],
             attn.rope_sin[pos][:, None, :, :],
         )
-
-    @staticmethod
-    def _pad_mask(lengths: np.ndarray, bucket: int, total: int) -> np.ndarray:
-        """True at the bucket-padding tail of each row ``(batch, total)``;
-        positions at/after ``bucket`` (the appended suffix) stay valid."""
-        idx = np.arange(total)[None, :]
-        return (idx >= lengths[:, None]) & (idx < bucket)
-
-    def _stack_caches(self, entries, width: int):
-        """Per-layer k/v slabs ``(batch, kv_heads, width, head_dim)`` of
-        every entry's cache, zero-padded past each row's length."""
-        attn0 = self.model.blocks[0].attn
-        shape = (len(entries), attn0.num_kv_heads, width, attn0.head_dim)
-        ks, vs = [], []
-        for layer in range(self.num_layers):
-            k = np.zeros(shape, dtype=np.float32)
-            v = np.zeros_like(k)
-            for b, entry in enumerate(entries):
-                src = entry.caches[layer]
-                if src.length:
-                    k[b, :, : src.length] = src.k[0]
-                    v[b, :, : src.length] = src.v[0]
-            ks.append(k)
-            vs.append(v)
-        return ks, vs
-
-    def _slab_key(self, entries, lengths: np.ndarray, bucket: int):
-        """What persistent slabs mirror: the batch composition, the
-        per-row lengths and the identity of every authoritative cache
-        array.  Any mutation the slab path did not make itself (eviction,
-        preemption, a speculative cycle) changes the key."""
-        return (
-            bucket,
-            tuple(id(e) for e in entries),
-            tuple(lengths.tolist()),
-            tuple(id(e.caches[layer].k) for layer in range(self.num_layers)
-                  for e in entries),
-        )
-
-    def _decode_slabs(self, entries, lengths: np.ndarray, bucket: int):
-        """The step's slabs: freshly stacked with capture off; with
-        capture on, the persistent ones while their key still matches."""
-        key = self._slab_key(entries, lengths, bucket) if graph_capture_enabled() else None
-        if self._slabs is not None and self._slabs[0] == key:
-            return self._slabs[1], self._slabs[2]
-        self._slabs = None  # free the stale slabs before stacking new ones
-        ks, vs = self._stack_caches(entries, bucket)
-        if key is not None:
-            self._slabs = (key, ks, vs)
-        return ks, vs
-
-    def _advance_slabs(self, entries, lengths, ks, vs, new_ks, new_vs) -> None:
-        """Write the step's new k/v into the persistent slabs in place and
-        re-arm their key for the next step."""
-        if self._slabs is None:
-            return
-        bucket = ks[0].shape[2]
-        if int(lengths.max()) >= bucket:
-            # A row just filled its slab (clamped bucket); the next step
-            # needs a wider stack anyway.
-            self._slabs = None
-            return
-        rows = np.arange(len(entries))
-        for layer in range(self.num_layers):
-            ks[layer][rows, :, lengths, :] = new_ks[layer][:, :, 0, :]
-            vs[layer][rows, :, lengths, :] = new_vs[layer][:, :, 0, :]
-        self._slabs = (self._slab_key(entries, lengths + 1, bucket), ks, vs)
-
-    @staticmethod
-    def _commit(entries, new_ks, new_vs, keep: np.ndarray) -> None:
-        """Append row ``b``'s first ``keep[b]`` new k/v positions of every
-        layer to that row's own cache blocks."""
-        for layer, (k_new, v_new) in enumerate(zip(new_ks, new_vs)):
-            for b, entry in enumerate(entries):
-                n = int(keep[b])
-                entry.caches[layer].append(
-                    k_new[b : b + 1, :, :n, :], v_new[b : b + 1, :, :n, :]
-                )
 
     # -- voting helpers ------------------------------------------------
     def _exit_logits(self, point: int, hidden: Tensor) -> Tensor:
@@ -675,3 +569,65 @@ class GenerationEngine:
             if q is not None:
                 hidden_last = hidden_last @ np.asarray(q)
         return hidden_last
+
+
+class _Rows:
+    """One decode call's rows in the store.
+
+    Checks that ``seq`` new positions fit every entry under ``max_len``
+    (raising before anything is touched), binds entries the store has not
+    seen, and makes their slots one contiguous run — the usual case costs
+    nothing, a batch bound in another order is swapped into one.  The
+    rows run sorted by slot: ``entries``, ``pos`` (each row's length) and
+    the per-layer store views ``ks``/``vs`` ``(batch, kv_heads, width,
+    head_dim)``, where ``width`` is the longest row plus ``seq``, bucketed
+    and capped at ``max_len``.  :meth:`restore` puts a per-row result
+    back in the caller's order.
+    """
+
+    def __init__(self, engine: GenerationEngine, entries: Sequence, seq: int):
+        store = engine.store
+        lengths = [e.caches[0].length for e in entries]
+        longest = max(lengths)
+        if longest + seq > store.max_len:
+            raise ValueError(
+                f"sequence length {longest + seq} exceeds max_len "
+                f"{store.max_len} (a request holds {longest} tokens)"
+            )
+        for e in entries:
+            if e.caches[0].store is not store:
+                store.bind(e.caches)
+        slots = [e.caches[0].slot for e in entries]
+        self.batch = n = len(entries)
+        if len(set(slots)) != n:
+            raise ValueError("an entry appears twice in one decode call")
+        lo = min(slots)
+        if max(slots) - lo + 1 != n:
+            lo = store.group(slots)
+            slots = [e.caches[0].slot for e in entries]
+        self.order = np.argsort(slots)
+        self.inverse = np.argsort(self.order)
+        self.entries = [entries[i] for i in self.order]
+        self.pos = np.array(lengths, dtype=np.int64)[self.order]
+        rounded = -(-(longest + seq) // DECODE_BUCKET) * DECODE_BUCKET
+        self.width = width = min(rounded, store.max_len)
+        self.ks = [store.k[layer, lo : lo + n, :, :width]
+                   for layer in range(store.num_layers)]
+        self.vs = [store.v[layer, lo : lo + n, :, :width]
+                   for layer in range(store.num_layers)]
+
+    def mask(self, offset: int, seq: int) -> np.ndarray:
+        """True where a key lies past the query's own position, for
+        ``seq`` queries from ``pos + offset``: ``(batch, 1, seq, width)``."""
+        q = self.pos[:, None] + (offset + np.arange(seq))
+        return (np.arange(self.width) > q[:, :, None])[:, None]
+
+    def advance(self, counts: np.ndarray) -> None:
+        """Grow row ``b``'s caches by ``counts[b]`` written positions."""
+        for entry, count in zip(self.entries, counts.tolist()):
+            for cache in entry.caches:
+                cache.length += count
+
+    def restore(self, values: np.ndarray) -> np.ndarray:
+        """``values`` (in slot order) in the caller's entry order."""
+        return values[self.inverse]

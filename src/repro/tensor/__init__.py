@@ -15,6 +15,7 @@ from .functional import (
     dropout,
     embedding,
     gelu,
+    kv_write,
     log_softmax,
     masked_fill,
     nll_from_logits,
@@ -35,7 +36,7 @@ from .graph import (
 )
 from .checkpoint import checkpoint
 from .gradcheck import check_gradients, numerical_gradient
-from .profiler import TapeStats, profile_tape
+from .profiler import OpProfile, TapeStats, profile_ops, profile_tape
 
 __all__ = [
     "Op",
@@ -55,6 +56,7 @@ __all__ = [
     "silu_mul",
     "rms_norm",
     "rope",
+    "kv_write",
     "embedding",
     "dropout",
     "masked_fill",
@@ -63,6 +65,8 @@ __all__ = [
     "numerical_gradient",
     "profile_tape",
     "TapeStats",
+    "profile_ops",
+    "OpProfile",
     "Graph",
     "GraphCache",
     "GraphRecorder",

@@ -3,7 +3,8 @@
 These are the numerically careful building blocks the transformer stack
 needs: stable softmax / log-softmax, a fused cross-entropy (the dominant op
 in LM training), GELU/SiLU activations, the fused SwiGLU gate and RMSNorm
-(the kernels ``SwiGLUMLP`` and ``RMSNorm`` call), embedding gather, and
+(the kernels ``SwiGLUMLP`` and ``RMSNorm`` call), embedding gather, the
+forward-only in-place key/value cache write a decode step runs, and
 dropout.
 
 Every kernel here is an explicit :class:`~repro.tensor.tensor.Op` so the
@@ -275,6 +276,35 @@ class MaskedFillOp(Op):
             yield 0, grad * (~mask)
 
 
+class KvWriteOp(Op):
+    """Write new cache positions into a key/value store view in place.
+
+    Parents: the store view ``(batch, kv_heads, width, head_dim)``, the
+    new entries ``(batch, kv_heads, seq, head_dim)`` and each row's first
+    position ``(batch,)`` (an integer constant).  Row ``b`` of the new
+    entries lands at ``pos[b] .. pos[b] + seq - 1``.  The output *is* the
+    store view, so whatever reads it sees the written positions, and a
+    replayed graph writes wherever its input view points.  Forward-only:
+    serving decodes under ``no_grad``, and asking for a gradient raises.
+    """
+
+    name = "kv_write"
+
+    def forward(self, inputs, attrs, out=None):
+        store, new, pos = inputs
+        seq = new.shape[2]
+        if seq == 1 and len(pos) > 1:
+            # One scatter beats a python loop of row writes from batch 2.
+            store[np.arange(len(pos)), :, pos] = new[:, :, 0]
+        else:
+            for b, p in enumerate(pos.tolist()):
+                store[b, :, p : p + seq] = new[b]
+        return store, None
+
+    def vjp(self, ctx, grad, needs):
+        raise RuntimeError("kv_write is forward-only: it has no gradient")
+
+
 _SOFTMAX = SoftmaxOp()
 _LOG_SOFTMAX = LogSoftmaxOp()
 _CROSS_ENTROPY = CrossEntropyOp()
@@ -285,6 +315,7 @@ _RMS_NORM = RmsNormOp()
 _ROPE = RopeOp()
 _EMBEDDING = EmbeddingOp()
 _MASKED_FILL = MaskedFillOp()
+_KV_WRITE = KvWriteOp()
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
@@ -368,6 +399,19 @@ def rope(x: Tensor, cos, sin) -> Tensor:
     if cos.requires_grad or sin.requires_grad:
         raise ValueError("rope tables are constants; got a table that requires grad")
     return apply_op(_ROPE, (x, cos, sin))
+
+
+def kv_write(store, new: Tensor, pos) -> Tensor:
+    """Write ``new`` ``(batch, kv_heads, seq, head_dim)`` into the cache
+    store view ``store`` in place, row ``b`` at positions ``pos[b] ..
+    pos[b] + seq - 1``, and return the store view as one tape node.
+
+    The store view and positions are constants (graph inputs in a
+    captured decode step); callers keep every ``pos[b] + seq`` within the
+    view's width.  There is no gradient: the op's VJP raises.
+    """
+    return apply_op(_KV_WRITE, (_ensure_tensor(store), _ensure_tensor(new),
+                                _ensure_tensor(pos)))
 
 
 def embedding(weight: Tensor, ids: np.ndarray) -> Tensor:

@@ -60,6 +60,7 @@ from __future__ import annotations
 
 import contextlib
 import contextvars
+import time
 import weakref
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -67,6 +68,7 @@ import numpy as np
 
 from ..obs import get_registry
 from .arena import SlabLayout, StepSlab
+from .profiler import _OP_PROFILE, REPLAY_LOOP
 from .tensor import (
     _RECLAIMED,
     Op,
@@ -476,8 +478,12 @@ class Graph:
         ``run_backward=True`` the recorded backward program runs and
         accumulates into the live leaf tensors' ``.grad`` exactly as the
         traced tape would.  Returns the output arrays, copied out of the
-        slab.
+        slab.  Under :func:`~repro.tensor.profiler.profile_ops` the steps
+        run in a timed copy of the loop.
         """
+        profile = _OP_PROFILE.get()
+        if profile is not None:
+            start = time.perf_counter()
         if len(inputs) != len(self.input_slots):
             raise ValueError(
                 f"graph expects {len(self.input_slots)} inputs, got {len(inputs)}"
@@ -498,24 +504,28 @@ class Graph:
             if self._slab is None:
                 self._slab = StepSlab()
             bufs = self._slab.views(self, layout)
-            # Replay dtypes are pinned by validation (leaf dtypes checked,
-            # input dtypes part of the cache key), so each step's result
-            # dtype is deterministic: casting to the recorded out_dtype
-            # reproduces the trace-time downcast rule exactly.
-            for k, (fwd, parents, attrs, out_slot, odtype) in enumerate(plan):
-                ins = tuple([vals[s] for s in parents])
-                buf = bufs[k]
-                if buf is not None:
-                    out_data, ctxs[k] = fwd(ins, attrs, out=buf)
-                    if out_data is buf:
-                        vals[out_slot] = buf
-                        continue
-                else:
-                    out_data, ctxs[k] = fwd(ins, attrs)
-                arr = np.asarray(out_data)
-                if arr.dtype != odtype:
-                    arr = arr.astype(odtype)
-                vals[out_slot] = arr
+            if profile is not None:
+                ops_s = self._timed_steps(plan, bufs, vals, ctxs, profile)
+            else:
+                # Replay dtypes are pinned by validation (leaf dtypes
+                # checked, input dtypes part of the cache key), so each
+                # step's result dtype is deterministic: casting to the
+                # recorded out_dtype reproduces the trace-time downcast
+                # rule exactly.
+                for k, (fwd, parents, attrs, out_slot, odtype) in enumerate(plan):
+                    ins = tuple([vals[s] for s in parents])
+                    buf = bufs[k]
+                    if buf is not None:
+                        out_data, ctxs[k] = fwd(ins, attrs, out=buf)
+                        if out_data is buf:
+                            vals[out_slot] = buf
+                            continue
+                    else:
+                        out_data, ctxs[k] = fwd(ins, attrs)
+                    arr = np.asarray(out_data)
+                    if arr.dtype != odtype:
+                        arr = arr.astype(odtype)
+                    vals[out_slot] = arr
             outs = [vals[s] for s in self.output_slots]
             if layout.nbytes:
                 # The slab is overwritten by the cache's next replay; hand
@@ -523,10 +533,36 @@ class Graph:
                 outs = [o.copy() if o.base is not None else o for o in outs]
             if run_backward and self.bwd:
                 self._run_backward(vals, ctxs)
+            if profile is not None:
+                profile.replays += 1
+                profile.add(REPLAY_LOOP, time.perf_counter() - start - ops_s, 0)
             return outs
         finally:
             ctxs[:] = self._no_ctxs
             vals[:] = self._no_vals
+
+    def _timed_steps(self, plan, bufs, vals, ctxs, profile) -> float:
+        """The replay loop with a clock around every step's ``forward``,
+        adding each step to ``profile``; returns the steps' seconds."""
+        clock = time.perf_counter
+        total = 0.0
+        for k, (fwd, parents, attrs, out_slot, odtype) in enumerate(plan):
+            ins = tuple([vals[s] for s in parents])
+            buf = bufs[k]
+            start = clock()
+            if buf is not None:
+                out_data, ctxs[k] = fwd(ins, attrs, out=buf)
+            else:
+                out_data, ctxs[k] = fwd(ins, attrs)
+            seconds = clock() - start
+            total += seconds
+            if buf is None or out_data is not buf:
+                out_data = np.asarray(out_data)
+                if out_data.dtype != odtype:
+                    out_data = out_data.astype(odtype)
+            vals[out_slot] = out_data
+            profile.add(self.steps[k].op.name, seconds, out_data.nbytes)
+        return total
 
     def _run_backward(self, vals, ctxs) -> None:
         root = self.loss_slot

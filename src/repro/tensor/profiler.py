@@ -1,5 +1,5 @@
-"""Empirical tape profiling: measure what the autograd tape actually
-retains.
+"""Empirical profiling: what the autograd tape retains, and where a
+replayed graph spends its time.
 
 The analytical memory model (`repro.eval.memory`) *predicts* activation
 footprints; this profiler *measures* them by observing tape-node creation
@@ -11,14 +11,32 @@ Since the eager-reclamation fast path (``Tensor.backward(reclaim=True)``)
 the profiler also sees buffer frees, so it can report the *peak* number of
 tape bytes simultaneously live — the quantity that actually bounds
 on-device memory — alongside the total recorded.
+
+:func:`profile_ops` times replayed graphs op by op: while it is active,
+:meth:`~repro.tensor.graph.Graph.replay` runs a timed copy of its step
+loop and adds each op's count, seconds and output bytes by op name, plus
+one ``REPLAY_LOOP`` row for everything else the replay does, so the rows
+sum to the replays' wall time.
 """
 
 from __future__ import annotations
 
 import contextlib
-from typing import Iterator
+import contextvars
+from typing import Dict, Iterator, List, Tuple
 
 from .tensor import _set_tape_observer
+
+# The row of an op profile that holds a replay's own time: binding
+# inputs and leaves, the loop around the ops, copying outputs out, and a
+# recorded backward program (which it does not split by op).
+REPLAY_LOOP = "(replay loop)"
+
+# The active op profile (see :func:`profile_ops`); None when off, which
+# is all a replay reads then.
+_OP_PROFILE: contextvars.ContextVar = contextvars.ContextVar(
+    "repro_op_profile", default=None
+)
 
 
 class TapeStats:
@@ -107,3 +125,47 @@ def profile_tape() -> Iterator[TapeStats]:
     finally:
         _set_tape_observer(stats._parent)
         stats._parent = None
+
+
+class OpProfile:
+    """Per-op totals over every graph replayed while it was active.
+
+    ``rows`` maps an op name (or :data:`REPLAY_LOOP`) to ``[count,
+    seconds, output bytes]``.
+    """
+
+    def __init__(self):
+        self.rows: Dict[str, List[float]] = {}
+        self.replays = 0
+
+    def add(self, name: str, seconds: float, nbytes: int) -> None:
+        row = self.rows.setdefault(name, [0, 0.0, 0])
+        row[0] += 1
+        row[1] += seconds
+        row[2] += nbytes
+
+    @property
+    def seconds(self) -> float:
+        """Wall time of the profiled replays (the sum of every row)."""
+        return sum(row[1] for row in self.rows.values())
+
+    def table(self) -> List[Tuple[str, int, float, int]]:
+        """``(name, count, seconds, bytes)`` rows, slowest first."""
+        rows = [(name, int(c), s, int(b)) for name, (c, s, b) in self.rows.items()]
+        return sorted(rows, key=lambda row: -row[2])
+
+
+@contextlib.contextmanager
+def profile_ops() -> Iterator[OpProfile]:
+    """Time every graph replayed inside the context, op by op.
+
+    The replays run the same ``forward`` calls into the same slab views
+    as unprofiled ones, so their outputs are byte-identical; only the
+    clock reads around each step are added.
+    """
+    profile = OpProfile()
+    token = _OP_PROFILE.set(profile)
+    try:
+        yield profile
+    finally:
+        _OP_PROFILE.reset(token)

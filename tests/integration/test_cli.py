@@ -103,6 +103,18 @@ class TestAdapt:
         with pytest.raises(ValueError, match="window 99"):
             main(["adapt", *FAST_MODEL, "--model", checkpoint, "--window", "99"])
 
+    def test_more_shards_than_blocks_fail_before_compressing(
+        self, checkpoint, monkeypatch
+    ):
+        from repro.pipeline import EdgeLLM
+
+        def compress(*args, **kwargs):
+            raise AssertionError("compress ran with an invalid config")
+
+        monkeypatch.setattr(EdgeLLM, "compress", compress)
+        with pytest.raises(ValueError, match="shards: 99 stages"):
+            main(["adapt", *FAST_MODEL, "--model", checkpoint, "--shards", "99"])
+
 
 class TestAdaptSharded:
     def test_sharded_pipeline_runs(self, checkpoint, capsys):

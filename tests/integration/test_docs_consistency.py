@@ -4,6 +4,7 @@ and docs/*.md, and docs/api.md's coverage of the ``repro.tensor``
 exports must match the actual repository."""
 
 import argparse
+import importlib
 import os
 import re
 
@@ -146,6 +147,17 @@ class TestApiReference:
             if not any(re.search(rf"\b{name}\b", span) for span in documented)
         ]
         assert not missing, f"repro.tensor exports missing from docs/api.md: {missing}"
+
+    @pytest.mark.parametrize("package", ["repro.nn", "repro.serve"])
+    def test_every_nn_and_serve_export_has_a_row(self, package):
+        module = importlib.import_module(package)
+        api = read(os.path.join("docs", "api.md"))
+        documented = set(re.findall(r"`[^`\n]*`", api))
+        missing = [
+            name for name in module.__all__
+            if not any(re.search(rf"\b{name}\b", span) for span in documented)
+        ]
+        assert not missing, f"{package} exports missing from docs/api.md: {missing}"
 
 
 class TestResultsArtifacts:

@@ -164,3 +164,22 @@ class TestConfigValidation:
     def test_window_as_deep_as_the_model_accepted(self):
         model = TransformerLM(small_config(num_layers=4))
         EdgeLLM(model, EdgeLLMConfig(tuning=AdaptiveTuningConfig(window=4)))
+
+    @pytest.mark.parametrize("fields", [
+        {"compute_budget": 0},
+        {"compute_budget": 1.5},
+        {"sensitivity_metric": "bogus"},
+        {"policy_search": "bogus"},
+        {"bit_options": (1,)},
+        {"prune_options": (1.0,)},
+        {"slice_options": (0.0,)},
+        {"workers": -1},
+        {"shards": 9},
+    ], ids=lambda fields: "-".join(f"{k}={v}" for k, v in fields.items()))
+    def test_values_that_fail_late_are_rejected_at_build(self, fields):
+        """Each of these used to pass ``EdgeLLM(...)`` and fail only inside
+        compress or adapt; now the build raises, naming the field."""
+        model = TransformerLM(small_config(num_layers=4))
+        (name,) = fields
+        with pytest.raises(ValueError, match=name):
+            EdgeLLM(model, EdgeLLMConfig(**fields))

@@ -116,148 +116,27 @@ class TestClone:
         assert KVCache().clone().length == 0
 
 
-# ---------------------------------------------------------------------------
-# SharedKVCacheView: cache views over immutable shared prefix blocks
-# ---------------------------------------------------------------------------
-from repro.nn.attention import SharedKVCacheView  # noqa: E402
+class TestGrowth:
+    def test_growth_preserves_content(self):
+        # A private buffer doubles as it grows; every cached position
+        # survives each reallocation, and truncated positions are
+        # overwritten by the next append.
+        cache = KVCache()
+        k = np.arange(1 * 2 * 9 * 4, dtype=np.float32).reshape(1, 2, 9, 4)
+        for t in range(9):
+            cache.append(k[:, :, t : t + 1], k[:, :, t : t + 1] * 2)
+        assert cache._buffers()[0].shape[2] >= 9
+        np.testing.assert_array_equal(cache.k, k)
+        np.testing.assert_array_equal(cache.v, k * 2)
+        cache.truncate(4)
+        cache.append(*entry(seq=2, fill=-1.0))
+        np.testing.assert_array_equal(cache.k[:, :, :4], k[:, :, :4])
+        assert np.all(cache.k[:, :, 4:] == -1.0)
 
-
-def shared_arrays(seq=4, heads=2, head_dim=4):
-    k = np.arange(1 * heads * seq * head_dim, dtype=np.float32)
-    k = k.reshape(1, heads, seq, head_dim)
-    return k, k * 2.0
-
-
-class TestSharedViewBasics:
-    def test_reads_like_a_plain_cache(self):
-        k, v = shared_arrays(seq=4)
-        view = SharedKVCacheView(k, v)
-        assert view.length == 4
-        np.testing.assert_array_equal(view.k, k)
-        np.testing.assert_array_equal(view.v, v)
-
-    def test_append_lands_in_private_tail(self):
-        k, v = shared_arrays(seq=3)
-        view = SharedKVCacheView(k, v)
-        view.append(*entry(seq=2))
-        assert view.shared_length == 3
-        assert view.tail_length == 2
-        assert view.length == 5
-        np.testing.assert_array_equal(view.k[:, :, :3, :], k)
-
-    def test_never_attached_view_is_plain_private(self):
-        view = SharedKVCacheView()
-        assert view.length == 0
-        assert not view.detached
-        view.append(*entry(seq=2))
-        assert view.tail_length == 2
-
-    def test_mismatched_shared_shapes_raise(self):
-        k, _ = shared_arrays(seq=3)
-        _, v = shared_arrays(seq=2)
-        with pytest.raises(ValueError, match="matching 4-D"):
-            SharedKVCacheView(k, v)
-
-    def test_append_validation_matches_plain_cache(self):
-        k, v = shared_arrays(seq=3, heads=2)
-        view = SharedKVCacheView(k, v)
-        with pytest.raises(ValueError, match="4-D"):
-            view.append(np.zeros((2, 3, 4)), np.zeros((2, 3, 4)))
-        with pytest.raises(ValueError, match="does not\\s+match cached"):
-            view.append(*entry(heads=4))
-
-
-class TestSharedViewTruncate:
-    """Regression tests for the rollback edge cases: truncating into a
-    shared-backed view must copy-on-write, never mutate the shared block."""
-
-    def test_truncate_within_tail_keeps_shared(self):
-        k, v = shared_arrays(seq=3)
-        view = SharedKVCacheView(k, v)
-        view.append(*entry(seq=3))
-        view.truncate(4)
-        assert view.shared_length == 3
-        assert view.tail_length == 1
-        assert not view.detached
-
-    def test_truncate_into_shared_copies_on_write(self):
-        k, v = shared_arrays(seq=4)
-        before_k, before_v = k.copy(), v.copy()
-        view = SharedKVCacheView(k, v)
-        view.append(*entry(seq=1))
-        view.truncate(2)
-        assert view.detached
-        assert view.length == 2
-        np.testing.assert_array_equal(view.k, before_k[:, :, :2, :])
-        # The shared arrays themselves are untouched for other lessees.
-        np.testing.assert_array_equal(k, before_k)
-        np.testing.assert_array_equal(v, before_v)
-        # Writes after COW go to private storage, still not the block.
-        view.append(*entry(seq=1, fill=9.0))
-        np.testing.assert_array_equal(k, before_k)
-
-    def test_truncate_to_zero_detaches_and_empties(self):
-        k, v = shared_arrays(seq=3)
-        view = SharedKVCacheView(k, v)
-        view.truncate(0)
-        assert view.length == 0
-        assert view.detached
-        assert view.k is None and view.v is None
-        np.testing.assert_array_equal(k, shared_arrays(seq=3)[0])
-
-    def test_truncate_out_of_range_raises(self):
-        k, v = shared_arrays(seq=3)
-        view = SharedKVCacheView(k, v)
-        with pytest.raises(ValueError, match="out of range"):
-            view.truncate(4)
-        with pytest.raises(ValueError, match="out of range"):
-            view.truncate(-1)
-
-    def test_on_detach_fires_exactly_once(self):
-        k, v = shared_arrays(seq=3)
-        calls = []
-        view = SharedKVCacheView(k, v, on_detach=lambda: calls.append(1))
-        view.truncate(1)
-        view.reset()
-        view.truncate(0)
-        assert calls == [1]
-
-    def test_reset_detaches(self):
-        k, v = shared_arrays(seq=3)
-        view = SharedKVCacheView(k, v)
-        view.reset()
-        assert view.detached
-        assert view.length == 0
-
-
-class TestSharedViewLifecycle:
-    def test_clone_is_plain_and_independent(self):
-        k, v = shared_arrays(seq=2)
-        view = SharedKVCacheView(k, v)
-        view.append(*entry(seq=1))
-        copy = view.clone()
-        assert isinstance(copy, KVCache)
-        assert not isinstance(copy, SharedKVCacheView)
-        copy.k[...] = -1.0
-        np.testing.assert_array_equal(k, shared_arrays(seq=2)[0])
-
-    def test_rebase_swaps_in_longer_shared_arrays(self):
-        k, v = shared_arrays(seq=2)
-        view = SharedKVCacheView(k, v)
-        view.append(*entry(seq=2))
-        full_k, full_v = view.k.copy(), view.v.copy()
-        view.rebase(full_k, full_v)
-        assert view.shared_length == 4
-        assert view.tail_length == 0
-        np.testing.assert_array_equal(view.k, full_k)
-
-    def test_rebase_length_mismatch_raises(self):
-        view = SharedKVCacheView(*shared_arrays(seq=2))
-        with pytest.raises(ValueError, match="rebase length"):
-            view.rebase(*shared_arrays(seq=3))
-
-    def test_rebase_after_detach_raises(self):
-        view = SharedKVCacheView(*shared_arrays(seq=2))
-        view.truncate(1)
-        with pytest.raises(ValueError, match="detached"):
-            view.rebase(*shared_arrays(seq=1))
+    def test_append_writes_in_place(self):
+        cache = KVCache()
+        cache.append(*entry(seq=3))
+        buf = cache._buffers()[0]
+        cache.truncate(1)
+        k, _ = cache.append(*entry(seq=2, fill=5.0))
+        assert np.shares_memory(k, buf)

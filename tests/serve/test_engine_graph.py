@@ -250,14 +250,28 @@ class TestMemory:
         engine = GenerationEngine(TransformerLM(small_config(max_len=128)))
         prompts = [list(range(1, 29)), list(range(3, 27)), [5] * 20, [9] * 30]
         entries = prefill_entries(engine, prompts)
+        store_views = []
+        apply = engine._graph_apply
+
+        def spy(key, arrays, build):
+            store_views.extend(
+                weakref.ref(a) for a in arrays
+                if np.shares_memory(a, engine.store.k)
+                or np.shares_memory(a, engine.store.v)
+            )
+            return apply(key, arrays, build)
+
+        engine._graph_apply = spy
         with graph_capture(True):
-            greedy(engine, entries, 1)  # batch 4, bucket 32: captured here
-            capture_input = weakref.ref(engine._slabs[1][0])
+            greedy(engine, entries, 1)  # batch 4, width 32: captured here
             greedy(engine, entries[:2], 2)  # batch 2
-            greedy(engine, entries, 4)  # batch 4 again, crossing into bucket 64
+            greedy(engine, entries, 4)  # batch 4 again, crossing into width 64
         cache = engine._graphs
         needs = [g.step_bytes for g in cache.graphs()]
         assert len(needs) >= 3
         assert cache.slab_bytes == max(needs)
         assert sum(needs) > cache.slab_bytes
-        assert capture_input() is None
+        # The graphs read the store through views passed in each step;
+        # none of them keeps one.
+        assert len(store_views) == 2 * 7 * engine.num_layers
+        assert all(ref() is None for ref in store_views)

@@ -318,10 +318,10 @@ class TestPoolSharingFuzz:
                     pool.release(rid)
 
                 # Occupancy accounting: resident tokens equal the sum of
-                # live unique blocks — private tails once per request,
-                # trie segments once each.
+                # live unique blocks — each request's tokens past its
+                # leased prefix once per request, trie segments once each.
                 private = sum(
-                    lease.block[0].tail_length
+                    lease.block[0].length - lease.shared_len
                     for lease in pool._leases.values()
                 )
                 assert pool.resident_tokens() == (
@@ -335,7 +335,10 @@ class TestPoolSharingFuzz:
             assert pool.reserved_tokens == 0
             assert pool.trie.pinned_tokens() == 0
 
-    def test_cow_never_mutates_shared_block(self):
+    def test_lessee_writes_never_reach_the_trie(self):
+        """A lease copies the trie path into the lessee's block, so the
+        lessee's appends, truncations and rewrites leave the trie's
+        segments — and the other lessees' copies — exactly as stored."""
         with use_registry():
             pool = CachePool(LAYERS, 1_000, share_prefixes=True)
             prompt = [1, 2, 3, 4, 5]
@@ -348,10 +351,20 @@ class TestPoolSharingFuzz:
 
             other, cached_b = pool.allocate_shared("b", prompt, 32)
             assert cached_b == len(prompt) - 1
-            # "b" rolls back into its shared prefix (speculative-style):
-            # copy-on-write, so "a" and the trie still see exact stamps.
-            other[0].truncate(2)
-            assert other[0].detached
+            segments = [a.copy() for node in pool.trie._iter_nodes()
+                        for a in node.k + node.v]
+            check_leased(prompt, cached_b,
+                         [c.k for c in other], [c.v for c in other])
+            # "b" rolls back into its leased prefix (speculative-style),
+            # overwrites it and grows past it.
+            for cache in other:
+                cache.truncate(2)
+                cache.append(*[np.full((1, HEADS, 6, HEAD_DIM), -7.0,
+                                       dtype=np.float32)] * 2)
+                cache.k[...] = -9.0
+            after = [a for node in pool.trie._iter_nodes() for a in node.k + node.v]
+            assert len(after) == len(segments)
+            assert all(np.array_equal(a, b) for a, b in zip(after, segments))
             check_leased(
                 prompt, len(prompt),
                 [c.k for c in block], [c.v for c in block],

@@ -9,9 +9,11 @@ from repro.tensor import (
     dropout,
     embedding,
     gelu,
+    kv_write,
     log_softmax,
     masked_fill,
     nll_from_logits,
+    no_grad,
     silu,
     softmax,
 )
@@ -210,3 +212,26 @@ class TestMaskedFill:
         masked_fill(x, mask, 0.0).sum().backward()
         assert x.grad[0, 0] == 0.0
         assert x.grad[1, 1] == 1.0
+
+
+class TestKvWrite:
+    def test_writes_in_place_and_returns_the_store(self):
+        store = np.zeros((2, 1, 6, 2), dtype=np.float32)
+        new = np.arange(2 * 1 * 2 * 2, dtype=np.float32).reshape(2, 1, 2, 2) + 1
+        with no_grad():
+            out = kv_write(store, Tensor(new), np.array([1, 3]))
+        assert out.data is store
+        np.testing.assert_array_equal(store[0, :, 1:3], new[0])
+        np.testing.assert_array_equal(store[1, :, 3:5], new[1])
+        assert not store[0, :, [0, 3, 4, 5]].any()
+        assert not store[1, :, [0, 1, 2, 5]].any()
+        with no_grad():  # one position per row: the scatter path
+            kv_write(store, Tensor(new[:, :, :1] * 10), np.array([5, 0]))
+        np.testing.assert_array_equal(store[0, :, 5], new[0, :, 0] * 10)
+        np.testing.assert_array_equal(store[1, :, 0], new[1, :, 0] * 10)
+
+    def test_asking_for_a_gradient_raises(self):
+        new = Tensor(np.ones((1, 1, 1, 2), dtype=np.float32), requires_grad=True)
+        out = kv_write(np.zeros((1, 1, 4, 2), dtype=np.float32), new, np.array([0]))
+        with pytest.raises(RuntimeError, match="forward-only"):
+            out.sum().backward()

@@ -97,3 +97,43 @@ class TestEmpiricalMemoryValidation:
             pretrained_model.config, batch, seq
         ) * 4
         assert predicted / 3 < measured < predicted * 3
+
+
+class TestProfileOps:
+    """Per-op time of replayed graphs: the same outputs, and one row per
+    op name whose counts are the graph's steps."""
+
+    def capture(self):
+        from repro.nn import TransformerConfig, TransformerLM
+        from repro.tensor import GraphRecorder
+
+        model = TransformerLM(TransformerConfig(vocab_size=32, dim=32, num_layers=2,
+                                                num_heads=4, max_len=16))
+        ids = np.arange(8, dtype=np.int64).reshape(1, 8)
+        recorder = GraphRecorder()
+        with no_grad(), recorder:
+            t = Tensor(ids)
+            recorder.add_input(t)
+            logits = model(t.data)
+        return recorder.finalize(outputs=[logits]), ids
+
+    def test_outputs_equal_and_counts_match_the_steps(self):
+        import collections
+
+        from repro.tensor import profile_ops
+        from repro.tensor.profiler import REPLAY_LOOP
+
+        graph, ids = self.capture()
+        with no_grad():
+            plain = graph.replay([ids])
+            with profile_ops() as prof:
+                profiled = graph.replay([ids])
+                graph.replay([ids])
+        assert [a.tobytes() for a in plain] == [a.tobytes() for a in profiled]
+        steps = collections.Counter(step.op.name for step in graph.steps)
+        counts = {name: row[0] for name, row in prof.rows.items()}
+        assert counts.pop(REPLAY_LOOP) == 2
+        assert counts == {name: 2 * n for name, n in steps.items()}
+        assert prof.replays == 2
+        assert prof.seconds == pytest.approx(sum(row[2] for row in prof.table()))
+        assert prof.rows["matmul"][2] > 0
