@@ -1,4 +1,4 @@
-"""EXT — pipeline-parallel sharded tuning and serving (repro.dist).
+"""EXT — pipeline-parallel sharded tuning (repro.dist).
 
 Three runs of the same adaptation workload from identical initial
 weights:
@@ -14,15 +14,24 @@ Emitted metrics:
 * ``losses_identical`` / ``weights_identical`` — the 2-shard pipeline
   reproduces the 1-shard micro-batched trajectory bit for bit (asserted
   here, at any CPU count);
-* ``tokens_identical`` — sharded greedy serving emits exactly
-  ``TransformerLM.generate``'s tokens (asserted here);
 * ``memory_shrink`` — single-process param+optimizer bytes over the
   largest stage's share (~S for balanced plans; asserted >= 1.6);
 * ``tuning_speedup`` — 2-shard pipeline step throughput over the
-  single-process baseline.  Not asserted locally (this container may
-  expose one core); CI enforces the >= 1.3x bar via
+  single-process baseline.  Not asserted locally (a host may expose
+  one core); CI enforces the >= 1.3x bar via
   ``validate_results --min-metric`` on multi-core runners with BLAS
-  threading pinned to 1.
+  threading pinned to 1;
+* ``ideal_speedup`` — the 1F1B bound M·S/(M+S−1) for S stages and M
+  micro-batches over the same micro-batched serial run (1.333 at
+  S=2, M=2);
+* ``microbatch_ref_speedup`` — the 1-shard, M-micro step over the
+  1-shard, 1-micro step: what micro-batching alone does to a step;
+* ``pipeline_efficiency`` — the pipeline's speedup over its
+  micro-batched reference, as a fraction of ``ideal_speedup``.
+
+``tuning_speedup`` = ``microbatch_ref_speedup`` × ``pipeline_efficiency``
+× ``ideal_speedup``, so a miss of the 1.3x bar reads as either the
+micro-batched reference or the pipeline falling short.
 """
 
 import time
@@ -31,7 +40,7 @@ import numpy as np
 
 from repro.adaptive import AdaptiveTuningConfig
 from repro.data import MarkovChainCorpus, lm_batches
-from repro.dist import DistConfig, PipelineAdaptiveTrainer, PipelineGenerationEngine
+from repro.dist import DistConfig, PipelineAdaptiveTrainer
 from repro.nn import TransformerConfig, TransformerLM
 
 from .common import ADAPT_SEED, emit
@@ -44,10 +53,10 @@ LAYERS = 8
 VOCAB = 64
 BATCH = 16
 SEQ = 64
+SHARDS = 2
 MICRO = 2
 WARMUP = 2
 TIMED_STEPS = 8
-MAX_NEW = 8
 
 
 def pipe_config() -> TransformerConfig:
@@ -105,20 +114,6 @@ def states_equal(a, b) -> bool:
     )
 
 
-def serving_tokens_match(state) -> bool:
-    model = make_model(state)
-    corpus = MarkovChainCorpus(vocab_size=VOCAB, order=1, seed=ADAPT_SEED)
-    rng = np.random.default_rng(7)
-    prompts = []
-    for length in (5, 9, 13):
-        inputs, _ = next(lm_batches(corpus, 1, length, 1, rng))
-        prompts.append([int(t) for t in inputs[0]])
-    expected = [model.generate(p, MAX_NEW, greedy=True) for p in prompts]
-    with PipelineGenerationEngine(model, DistConfig(shards=2)) as engine:
-        got = engine.generate_batch(prompts, MAX_NEW)
-    return got == expected
-
-
 def test_ext_pipeline():
     state = make_model().state_dict()
     corpus = MarkovChainCorpus(vocab_size=VOCAB, order=1, seed=ADAPT_SEED)
@@ -128,12 +123,14 @@ def test_ext_pipeline():
 
     base = run_tuning(state, data, shards=1, micro=1)
     ref = run_tuning(state, data, shards=1, micro=MICRO)
-    pipe = run_tuning(state, data, shards=2, micro=MICRO)
+    pipe = run_tuning(state, data, shards=SHARDS, micro=MICRO)
 
     losses_identical = ref["losses"] == pipe["losses"]
     weights_identical = states_equal(ref["state"], pipe["state"])
-    tokens_identical = serving_tokens_match(state)
     speedup = base["median_step_s"] / pipe["median_step_s"]
+    ideal = MICRO * SHARDS / (MICRO + SHARDS - 1)
+    ref_speedup = base["median_step_s"] / ref["median_step_s"]
+    efficiency = ref["median_step_s"] / pipe["median_step_s"] / ideal
 
     single_bytes = sum(
         r["param_bytes"] + r["optimizer_bytes"] for r in base["stage_mem"]
@@ -147,17 +144,18 @@ def test_ext_pipeline():
         ["1 shard, 1 micro", base["backend"],
          round(base["median_step_s"], 4), 1.0, single_bytes],
         [f"1 shard, {MICRO} micro", ref["backend"],
-         round(ref["median_step_s"], 4),
-         round(base["median_step_s"] / ref["median_step_s"], 3),
+         round(ref["median_step_s"], 4), round(ref_speedup, 3),
          single_bytes],
-        [f"2 shards, {MICRO} micro", pipe["backend"],
+        [f"{SHARDS} shards, {MICRO} micro", pipe["backend"],
          round(pipe["median_step_s"], 4), round(speedup, 3), worst_stage],
     ]
     metrics = {
         "tuning_speedup": speedup,
+        "ideal_speedup": ideal,
+        "microbatch_ref_speedup": ref_speedup,
+        "pipeline_efficiency": efficiency,
         "losses_identical": int(losses_identical),
         "weights_identical": int(weights_identical),
-        "tokens_identical": int(tokens_identical),
         "memory_shrink": memory_shrink,
         "base_step_s": base["median_step_s"],
         "pipeline_step_s": pipe["median_step_s"],
@@ -172,7 +170,8 @@ def test_ext_pipeline():
         rows,
         metrics=metrics,
         config={
-            "dim": DIM, "layers": LAYERS, "micro_batches": MICRO,
+            "dim": DIM, "layers": LAYERS, "shards": SHARDS,
+            "micro_batches": MICRO,
             "timed_steps": TIMED_STEPS, "window": "full-depth",
         },
     )
@@ -180,7 +179,6 @@ def test_ext_pipeline():
     # Bitwise contract holds at any core count — always asserted.
     assert losses_identical, "pipeline losses diverged from 1-shard run"
     assert weights_identical, "pipeline weights diverged from 1-shard run"
-    assert tokens_identical, "sharded serving diverged from generate()"
     assert pipe["backend"] == "process", "process backend unavailable"
     # Balanced 2-stage plans roughly halve per-process state.
     assert memory_shrink >= 1.6

@@ -51,7 +51,6 @@ from .data import AdaptationTask, MarkovChainCorpus, MultipleChoiceTask, lm_batc
 from .dist import (
     DistConfig,
     PipelineAdaptiveTrainer,
-    PipelineGenerationEngine,
     StagePlan,
 )
 from .hw import AcceleratorSpec, EDGE_GPU_LIKE, schedule_workloads
@@ -94,7 +93,6 @@ __all__ = [
     "WorkerPool",
     "DistConfig",
     "PipelineAdaptiveTrainer",
-    "PipelineGenerationEngine",
     "StagePlan",
     "dist",
     "GenerationEngine",

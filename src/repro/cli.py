@@ -23,11 +23,12 @@ pool; results are identical at any worker count) and ``--cache-dir DIR``
 (persist memoized evaluations so repeated runs skip finished work) —
 see ``docs/search.md``.
 
-``adapt``, ``generate`` and ``serve-sim`` accept ``--shards S`` (plus
-``--micro-batches`` / ``--stage-plan``): the model is partitioned into
-contiguous stages hosted by persistent worker processes and tuned or
-served through the pipeline runtime (``repro.dist``).  Results are
-bit-identical to ``--shards 1`` — see ``docs/parallelism.md``.
+``adapt`` accepts ``--shards S`` (plus ``--micro-batches`` /
+``--stage-plan``): the model is partitioned into contiguous stages
+hosted by persistent worker processes and tuned through the pipeline
+runtime (``repro.dist``).  Results are bit-identical to ``--shards 1``
+— see ``docs/parallelism.md``.  ``generate`` and ``serve-sim`` serve
+from one process.
 
 Run ``python -m repro <subcommand> --help`` for options.
 """
@@ -107,27 +108,6 @@ def _add_dist_args(parser: argparse.ArgumentParser) -> None:
         "--stage-plan", default=None, metavar="B1,B2,...",
         help="manual stage boundaries (interior block indices, comma-"
              "separated; default: cost-balanced partition)",
-    )
-
-
-def _add_overlap_args(parser: argparse.ArgumentParser) -> None:
-    # Only the serving commands take it: _dist_config passes it on, and
-    # tuning has no overlap setting.
-    parser.add_argument(
-        "--no-overlap", action="store_true",
-        help="disable double-buffered boundary receives (comm/compute "
-             "overlap is on by default)",
-    )
-
-
-def _dist_config(args):
-    from .dist import DistConfig
-
-    return DistConfig(
-        shards=args.shards,
-        micro_batches=args.micro_batches,
-        stage_plan=args.stage_plan,
-        overlap=not args.no_overlap,
     )
 
 
@@ -394,29 +374,6 @@ def cmd_generate(args) -> int:
         )
         inputs, _ = next(lm_batches(corpus, 1, args.prompt_len, 1, rng))
         prompt = [int(t) for t in inputs[0]]
-    if args.shards > 1:
-        if args.sample:
-            from .dist import SAMPLING_UNSUPPORTED_MSG
-
-            raise SystemExit(SAMPLING_UNSUPPORTED_MSG)
-        if args.exits or args.confidence is not None:
-            raise SystemExit(
-                "--shards does not compose with --exits/--confidence voting"
-            )
-        if args.eos_token is not None:
-            raise SystemExit("--shards does not support --eos-token")
-        from .dist import PipelineGenerationEngine
-
-        with PipelineGenerationEngine(model, _dist_config(args)) as engine:
-            tokens = engine.generate(prompt, args.max_new_tokens)
-        print(json.dumps({
-            "prompt": prompt,
-            "tokens": tokens,
-            "finish_reason": "length",
-            "greedy": True,
-            "shards": args.shards,
-        }, indent=2))
-        return 0
     voting = _serving_voting(model, args, rng)
     request = Request(
         "cli", prompt=prompt, max_new_tokens=args.max_new_tokens,
@@ -468,41 +425,6 @@ def cmd_serve_sim(args) -> int:
     inputs, _ = next(
         lm_batches(corpus, args.requests, args.prompt_len, 1, rng)
     )
-    if args.shards > 1:
-        unsupported = [
-            (args.speculative_k > 0, "--speculative-k"),
-            (bool(args.exits), "--exits"),
-            (args.confidence is not None, "--confidence"),
-            (args.prefix_sharing, "--prefix-sharing"),
-            (args.priority_tiers > 1, "--priority-tiers"),
-            (args.deadline is not None, "--deadline"),
-            (args.arrival_per_step is not None, "--arrival-per-step"),
-            (args.max_resident_tokens is not None, "--max-resident-tokens"),
-        ]
-        bad = [name for cond, name in unsupported if cond]
-        if bad:
-            raise SystemExit(
-                "sharded serving (--shards > 1) is plain pipelined greedy "
-                "decoding; unsupported here: " + ", ".join(bad)
-            )
-        from .dist import PipelineGenerationEngine
-
-        prompts = [shared_prefix + [int(t) for t in row] for row in inputs]
-        start = time.perf_counter()
-        with PipelineGenerationEngine(model, _dist_config(args)) as engine:
-            tokens = engine.generate_batch(prompts, args.max_new_tokens)
-        wall = time.perf_counter() - start
-        new_tokens = sum(len(t) for t in tokens)
-        reg = get_registry()
-        print(json.dumps({
-            "requests": len(prompts),
-            "completed": len(tokens),
-            "new_tokens": new_tokens,
-            "tokens_per_s": round(new_tokens / wall, 2) if wall > 0 else 0.0,
-            "shards": args.shards,
-            "transfer_bytes": reg.counter("dist/transfer_bytes").value,
-        }, indent=2))
-        return 0
     tiers = max(args.priority_tiers, 1)
     requests = [
         Request(
@@ -720,8 +642,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_data_args(p)
     _add_telemetry_args(p)
     _add_runtime_args(p)
-    _add_dist_args(p)
-    _add_overlap_args(p)
     p.add_argument("--model", required=True)
     p.add_argument("--prompt", type=int, nargs="+", default=None,
                    help="prompt token ids (default: sample from the corpus)")
@@ -748,8 +668,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_data_args(p)
     _add_telemetry_args(p)
     _add_runtime_args(p)
-    _add_dist_args(p)
-    _add_overlap_args(p)
     p.add_argument("--model", required=True)
     p.add_argument("--requests", type=int, default=16)
     p.add_argument("--prompt-len", type=int, default=8)

@@ -165,13 +165,11 @@ def model_block_costs(
 def plan_for_model(
     model: TransformerLM,
     num_stages: int,
-    batch: int = 8,
-    seq: int = 32,
     spec: Optional[str] = None,
 ) -> StagePlan:
     """Build a plan for ``model``: a manual ``spec`` (interior
     boundaries) wins; otherwise the DP balances modeled block costs."""
-    costs = model_block_costs(model, batch, seq)
+    costs = model_block_costs(model)
     if spec is not None:
         plan = StagePlan.parse(spec, model.num_layers, costs)
         if plan.num_stages != num_stages:

@@ -54,15 +54,9 @@ class DistConfig:
     # (e.g. "3,6"); None balances modeled block costs automatically.
     stage_plan: Optional[str] = None
     start_method: str = "fork"
-    # Workload shape the automatic planner balances for.
-    plan_batch: int = 8
-    plan_seq: int = 32
     # Force the in-process serial backend even for shards > 1 (useful
     # for tests and for machines without working process pools).
     serial: bool = False
-    # Double-buffered boundary receives (PrefetchReceiver): overlap
-    # activation/gradient deserialization with stage compute.
-    overlap: bool = True
 
     def __post_init__(self):
         if self.shards < 1:
@@ -79,25 +73,24 @@ def validate_tuning_config(config: AdaptiveTuningConfig) -> None:
 
 
 class PipelineRunner:
-    """Drives one pipeline (tuning and/or serving) over a stage backend."""
+    """Drives sharded tuning steps over a stage backend."""
 
     def __init__(
         self,
         model: TransformerLM,
-        dist: Optional[DistConfig] = None,
-        tuning: Optional[AdaptiveTuningConfig] = None,
+        dist: DistConfig,
+        tuning: AdaptiveTuningConfig,
         exit_heads: Optional[ExitHeadSet] = None,
     ):
         self.model = model
-        self.dist = dist or DistConfig()
+        self.dist = dist
         self.tuning = tuning
-        if tuning is not None:
-            validate_tuning_config(tuning)
-            if model.config.dropout != 0.0:
-                raise ValueError(
-                    "dist tuning requires dropout=0.0 (stage-local RNG "
-                    "streams cannot reproduce the single-process draws)"
-                )
+        validate_tuning_config(tuning)
+        if model.config.dropout != 0.0:
+            raise ValueError(
+                "dist tuning requires dropout=0.0 (stage-local RNG "
+                "streams cannot reproduce the single-process draws)"
+            )
         if self.dist.shards > model.num_layers:
             raise ValueError(
                 f"{self.dist.shards} shards for {model.num_layers} blocks"
@@ -107,15 +100,11 @@ class PipelineRunner:
                 model,
                 [model.num_layers],
                 tie_embeddings=model.config.tie_embeddings,
-                seed=tuning.seed if tuning is not None else 0,
+                seed=tuning.seed,
             )
         self.exit_heads = exit_heads
         self.plan: StagePlan = plan_for_model(
-            model,
-            self.dist.shards,
-            batch=self.dist.plan_batch,
-            seq=self.dist.plan_seq,
-            spec=self.dist.stage_plan,
+            model, self.dist.shards, spec=self.dist.stage_plan
         )
         self.hosts = [
             StageHost(model, exit_heads, self.plan, s, tuning)
@@ -139,7 +128,6 @@ class PipelineRunner:
         self.steps = 0
         self._procs: List = []
         self._closed = False
-        self._serve_fifo: List = []  # serial serving results
         self.backend = "serial"
         if self.plan.num_stages > 1 and not self.dist.serial:
             try:
@@ -169,7 +157,6 @@ class PipelineRunner:
                         host, link.cmd_q, link.result_q,
                         link.fwd_in, link.fwd_out,
                         link.grad_in, link.grad_out,
-                        self.dist.overlap,
                     ),
                     daemon=True,
                 )
@@ -212,8 +199,6 @@ class PipelineRunner:
         micro_inputs: List[np.ndarray],
         micro_targets: List[np.ndarray],
     ) -> Tuple[float, Dict]:
-        if self.tuning is None:
-            raise RuntimeError("runner was built without a tuning config")
         micro = len(micro_inputs)
         exit_stage = self.plan.stage_of_block(window.exit_point - 1)
         t0 = time.perf_counter()
@@ -361,8 +346,10 @@ class PipelineRunner:
         reg.counter("dist/steps").inc()
         reg.counter("dist/transfer_bytes").inc(transfer)
         reg.gauge("dist/bubble_fraction").set(bubble)
-        overlap = self._overlap_fraction(recv, wait)
-        if overlap is not None:
+        # Fraction of boundary receive time hidden behind compute.
+        overlap = 0.0
+        if recv > 0:
+            overlap = min(max(1.0 - wait / recv, 0.0), 1.0)
             reg.gauge("dist/overlap_fraction").set(overlap)
         return {
             "wall_s": wall,
@@ -370,16 +357,9 @@ class PipelineRunner:
             "idle_s": idle,
             "transfer_bytes": transfer,
             "bubble_fraction": bubble,
-            "overlap_fraction": 0.0 if overlap is None else overlap,
+            "overlap_fraction": overlap,
             "frozen_params": frozen,
         }
-
-    @staticmethod
-    def _overlap_fraction(recv: float, wait: float) -> Optional[float]:
-        """Fraction of boundary receive time hidden behind compute."""
-        if recv <= 0:
-            return None
-        return min(max(1.0 - wait / recv, 0.0), 1.0)
 
     # ------------------------------------------------------------------
     # model state
@@ -406,77 +386,6 @@ class PipelineRunner:
             reports = self._collect("memory", range(S))
             return [reports[s] for s in range(S)]
         return [host.memory() for host in self.hosts]
-
-    # ------------------------------------------------------------------
-    # serving
-    # ------------------------------------------------------------------
-    def serve_begin(self) -> None:
-        if self.backend == "process":
-            for s in range(self.plan.num_stages):
-                self._cmd_qs[s].put(("serve",))
-        else:
-            for host in self.hosts:
-                host.serve_begin()
-            self._serve_fifo = []
-
-    def serve_submit(self, rid: str, payload: np.ndarray) -> None:
-        if self.backend == "process":
-            self._cmd_qs[0].put(("fwd", rid, payload))
-            return
-        hidden = payload
-        for host in self.hosts:
-            hidden = host.serve_forward(rid, hidden)
-        self._serve_fifo.append((rid, hidden))
-
-    def serve_collect(self) -> Tuple[str, np.ndarray]:
-        if self.backend == "process":
-            while True:
-                try:
-                    stage, tag, payload = self._result_q.get(
-                        timeout=_PHASE_TIMEOUT_S
-                    )
-                except _queue.Empty:
-                    raise RuntimeError(
-                        "pipeline stage timed out during serving"
-                    ) from None
-                if tag != "serve_logits":
-                    raise RuntimeError(
-                        f"pipeline protocol error during serving: {tag!r}"
-                    )
-                return payload
-        return self._serve_fifo.pop(0)
-
-    def serve_free(self, rid: str) -> None:
-        if self.backend == "process":
-            self._cmd_qs[0].put(("free", rid))
-        else:
-            for host in self.hosts:
-                host.serve_free(rid)
-
-    def serve_end(self) -> List[Dict]:
-        if self.backend == "process":
-            self._cmd_qs[0].put(("end",))
-            reports = self._collect("serve", range(self.plan.num_stages))
-            ordered = [reports[s] for s in range(self.plan.num_stages)]
-        else:
-            ordered = [host.serve_end() for host in self.hosts]
-            for rep in ordered:
-                rep.setdefault("idle_s", 0.0)
-                rep.setdefault("recv_bytes", 0)
-        reg = get_registry()
-        recv = wait = 0.0
-        for rep in ordered:
-            s = rep["stage"]
-            self._stage_busy[s] += rep["busy_s"]
-            self._stage_idle[s] += rep.get("idle_s", 0.0)
-            self._stage_bytes[s] += rep.get("recv_bytes", 0)
-            reg.counter("dist/transfer_bytes").inc(rep.get("recv_bytes", 0))
-            recv += rep.get("overlap_recv_s", 0.0)
-            wait += rep.get("overlap_wait_s", 0.0)
-        overlap = self._overlap_fraction(recv, wait)
-        if overlap is not None:
-            reg.gauge("dist/overlap_fraction").set(overlap)
-        return ordered
 
     # ------------------------------------------------------------------
     def publish_stage_rows(self) -> None:

@@ -180,18 +180,3 @@ def merge_overlap_stats(*receivers) -> dict:
                 total[k] += v
     return total
 
-
-def get_or_fallback(source, timeout_s: float, fallback):
-    """Receive with a deadline; degrade visibly instead of hanging.
-
-    On timeout the ``dist/fallbacks`` counter is bumped and
-    ``fallback()`` supplies the result — the pattern every process-
-    backed path in ``repro.dist`` follows.
-    """
-    try:
-        return source.get(timeout=timeout_s)
-    except _queue.Empty:
-        from ..obs import get_registry
-
-        get_registry().counter("dist/fallbacks").inc()
-        return fallback()

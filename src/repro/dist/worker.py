@@ -2,12 +2,11 @@
 
 A :class:`StageHost` owns a contiguous block range of one
 ``TransformerLM`` plus every parameter canonically assigned to its
-stage (see :func:`canonical_parameters` / :func:`owner_stage`), a
-per-stage flat optimizer over exactly those parameters, and per-request
-KV caches for serving.  Hosts are constructed driver-side **before**
-fork, so the process backend's children inherit them via copy-on-write
-— the long-lived-worker design the per-map forks of
-``repro.parallel.WorkerPool`` deliberately avoid.
+stage (see :func:`canonical_parameters` / :func:`owner_stage`) and a
+per-stage flat optimizer over exactly those parameters.  Hosts are
+constructed driver-side **before** fork, so the process backend's
+children inherit them via copy-on-write — the long-lived-worker design
+the per-map forks of ``repro.parallel.WorkerPool`` deliberately avoid.
 
 Determinism contract (docs/parallelism.md): every gradient contribution
 for a parameter lands on exactly one owning stage, in micro-batch
@@ -25,7 +24,6 @@ import numpy as np
 from ..adaptive.exit_heads import ExitHeadSet
 from ..adaptive.schedules import TuningWindow
 from ..adaptive.trainer import AdaptiveTuningConfig, _OPTIMIZERS
-from ..nn.attention import KVCache
 from ..nn.transformer import TransformerLM
 from ..parallel import derive_seed
 from ..tensor import Tensor, cross_entropy, no_grad
@@ -76,8 +74,8 @@ def owner_stage(name: str, plan: StagePlan, exit_points: List[int]) -> int:
 
 
 class StageHost:
-    """One pipeline stage: blocks ``[lo, hi)`` plus owned parameters,
-    a stage-local optimizer, and per-request serving caches."""
+    """One pipeline stage: blocks ``[lo, hi)`` plus owned parameters
+    and a stage-local optimizer."""
 
     def __init__(
         self,
@@ -85,7 +83,7 @@ class StageHost:
         exit_heads: ExitHeadSet,
         plan: StagePlan,
         stage_index: int,
-        config: Optional[AdaptiveTuningConfig] = None,
+        config: AdaptiveTuningConfig,
     ):
         self.model = model
         self.exit_heads = exit_heads
@@ -93,9 +91,7 @@ class StageHost:
         self.stage_index = stage_index
         self.lo, self.hi = plan.blocks(stage_index)
         self.config = config
-        self.seed = derive_seed(
-            config.seed if config is not None else 0, stage_index
-        )
+        self.seed = derive_seed(config.seed, stage_index)
         # Serial backend flips this on: all hosts then share one model
         # object, so cross-stage gradient routing and weight sync must
         # not run (they would double-count / self-copy).
@@ -117,13 +113,11 @@ class StageHost:
         if stage_index != 0 and self._uses_tied_embedding():
             self.shared_used.append((EMBED_NAME, model.embed.weight))
 
-        self.optimizer = None
-        if config is not None:
-            opt_cls = _OPTIMIZERS[config.optimizer]
-            kwargs = {"lr": config.lr}
-            if config.optimizer in ("adamw",):
-                kwargs["weight_decay"] = config.weight_decay
-            self.optimizer = opt_cls([p for _, p in self.owned], **kwargs)
+        opt_cls = _OPTIMIZERS[config.optimizer]
+        kwargs = {"lr": config.lr}
+        if config.optimizer in ("adamw",):
+            kwargs["weight_decay"] = config.weight_decay
+        self.optimizer = opt_cls([p for _, p in self.owned], **kwargs)
 
         # --- per-step scratch -----------------------------------------
         self._window: Optional[TuningWindow] = None
@@ -135,8 +129,6 @@ class StageHost:
         self._losses: Dict[int, float] = {}
         self._frozen: List = []
         self.busy_s = 0.0
-        # --- serving ---------------------------------------------------
-        self._serve_caches: Dict[str, List[KVCache]] = {}
 
     # ------------------------------------------------------------------
     def _uses_tied_embedding(self) -> bool:
@@ -178,8 +170,7 @@ class StageHost:
         self._micro_targets = micro_targets or []
         self._inps, self._outs, self._losses = {}, {}, {}
         self.busy_s = 0.0
-        if self.optimizer is not None:
-            self.optimizer.zero_grad()
+        self.optimizer.zero_grad()
         for _, p in self.shared_used:
             p.grad = None
         self._frozen = []
@@ -305,8 +296,7 @@ class StageHost:
             for _, p in self.owned:
                 if p.requires_grad and p.grad is not None:
                     p.grad = p.grad * scale
-        if self.optimizer is not None:
-            self.optimizer.step()
+        self.optimizer.step()
         for p in self._frozen:
             p.requires_grad = True
         self._frozen = []
@@ -331,63 +321,17 @@ class StageHost:
 
     def memory(self) -> Dict[str, int]:
         param_bytes = sum(p.data.nbytes for _, p in self.owned)
-        opt_bytes = (
-            self.optimizer.state_bytes() if self.optimizer is not None else 0
-        )
         return {
             "stage": self.stage_index,
             "param_bytes": int(param_bytes),
-            "optimizer_bytes": int(opt_bytes),
+            "optimizer_bytes": int(self.optimizer.state_bytes()),
         }
-
-    # ------------------------------------------------------------------
-    # serving
-    # ------------------------------------------------------------------
-    def serve_begin(self) -> None:
-        self._was_training = self.model.training
-        self.model.eval()
-        self._serve_caches = {}
-        self.busy_s = 0.0
-
-    def serve_forward(self, rid: str, payload: np.ndarray) -> np.ndarray:
-        """Advance one request by one pipeline hop.  Stage 0 embeds
-        token ids; later stages consume boundary activations; the last
-        stage returns the final-position logits row."""
-        t0 = time.perf_counter()
-        model = self.model
-        caches = self._serve_caches.get(rid)
-        if caches is None:
-            caches = [KVCache() for _ in range(self.hi - self.lo)]
-            self._serve_caches[rid] = caches
-        with no_grad():
-            if self.stage_index == 0:
-                hidden = model.embed_tokens(payload)
-            else:
-                hidden = Tensor(payload)
-            for j, i in enumerate(range(self.lo, self.hi)):
-                hidden = model.blocks[i](hidden, cache=caches[j])
-            if self.stage_index == self.plan.num_stages - 1:
-                out = model.head(hidden).data[0, -1]
-            else:
-                out = hidden.data
-        self.busy_s += time.perf_counter() - t0
-        return out
-
-    def serve_free(self, rid: str) -> None:
-        self._serve_caches.pop(rid, None)
-
-    def serve_end(self) -> Dict:
-        self._serve_caches = {}
-        self.model.train(getattr(self, "_was_training", True))
-        return {"stage": self.stage_index, "busy_s": self.busy_s}
 
 
 # ----------------------------------------------------------------------
 # persistent-worker process loop
 # ----------------------------------------------------------------------
-def stage_loop(
-    host, cmd_q, result_q, fwd_in, fwd_out, grad_in, grad_out, overlap=True
-):
+def stage_loop(host, cmd_q, result_q, fwd_in, fwd_out, grad_in, grad_out):
     """Entry point of a persistent stage process.
 
     Commands arrive on ``cmd_q`` in driver-enforced lockstep phases;
@@ -395,18 +339,17 @@ def stage_loop(
     queues without driver involvement.  Queues are unbounded, so sends
     never block and the 1F1B interleave cannot deadlock.
 
-    With ``overlap=True`` (the default) each boundary receive queue is
-    wrapped in a :class:`~repro.dist.transport.PrefetchReceiver`:
-    micro-batch *m+1*'s activations deserialize on a daemon thread
-    while *m* computes, and the hidden receive time is reported to the
-    driver for the ``dist/overlap_fraction`` gauge.  Order-preserving,
-    so the 1F1B schedule and its bitwise contract are unchanged.
+    Each boundary receive queue is wrapped in a
+    :class:`~repro.dist.transport.PrefetchReceiver`: micro-batch *m+1*'s
+    activations deserialize on a daemon thread while *m* computes, and
+    the hidden receive time is reported to the driver for the
+    ``dist/overlap_fraction`` gauge.  Order-preserving, so the 1F1B
+    schedule and its bitwise contract are unchanged.
     """
     from .transport import PrefetchReceiver, merge_overlap_stats
 
-    if overlap:
-        fwd_in = PrefetchReceiver(fwd_in) if fwd_in is not None else None
-        grad_in = PrefetchReceiver(grad_in) if grad_in is not None else None
+    fwd_in = PrefetchReceiver(fwd_in) if fwd_in is not None else None
+    grad_in = PrefetchReceiver(grad_in) if grad_in is not None else None
     while True:
         cmd = cmd_q.get()
         op = cmd[0]
@@ -436,10 +379,6 @@ def stage_loop(
             result_q.put((host.stage_index, "gather", host.gather()))
         elif op == "memory":
             result_q.put((host.stage_index, "memory", host.memory()))
-        elif op == "serve":
-            report = _run_serve(host, cmd_q, result_q, fwd_in, fwd_out)
-            report.update(merge_overlap_stats(fwd_in, grad_in))
-            result_q.put((host.stage_index, "serve", report))
         else:  # pragma: no cover - driver never sends unknown ops
             result_q.put((host.stage_index, "error", f"unknown op {op!r}"))
 
@@ -503,34 +442,3 @@ def _run_tune_step(
     report["recv_bytes"] = bytes_in[0]
     return report
 
-
-def _run_serve(host, cmd_q, result_q, fwd_in, fwd_out):
-    """Request-pipelined serving loop.  Stage 0 reads driver commands
-    from ``cmd_q``; later stages read their upstream ``fwd`` queue.
-    The last stage emits logits rows onto ``result_q``."""
-    host.serve_begin()
-    source = cmd_q if host.stage_index == 0 else fwd_in
-    last = host.stage_index == host.plan.num_stages - 1
-    idle, bytes_in = [0.0], [0]
-    while True:
-        msg = _timed_get(source, idle, bytes_in)
-        op = msg[0]
-        if op == "end":
-            if fwd_out is not None:
-                fwd_out.put(("end",))
-            break
-        if op == "free":
-            host.serve_free(msg[1])
-            if fwd_out is not None:
-                fwd_out.put(("free", msg[1]))
-            continue
-        _, rid, payload = msg
-        out = host.serve_forward(rid, payload)
-        if last:
-            result_q.put((host.stage_index, "serve_logits", (rid, out)))
-        else:
-            fwd_out.put(("fwd", rid, out))
-    report = host.serve_end()
-    report["idle_s"] = idle[0]
-    report["recv_bytes"] = bytes_in[0]
-    return report

@@ -143,8 +143,8 @@ def format_report(report: Dict, max_rows: int = 10) -> str:
         if not rows:
             continue
         # Union of columns in first-appearance order: tables that mix
-        # row kinds (e.g. dist/iter tuning + serving rows) render every
-        # column instead of silently dropping late-appearing ones.
+        # row kinds render every column instead of silently dropping
+        # late-appearing ones.
         headers = list(rows[0].keys())
         seen = set(headers)
         for row in rows[1:]:

@@ -20,7 +20,12 @@ from .adaptive import (
     VotingCombiner,
 )
 from .adaptive.voting import _STRATEGIES as _VOTING_STRATEGIES
-from .dist import DistConfig, PipelineAdaptiveTrainer, plan_for_model
+from .dist import (
+    DistConfig,
+    PipelineAdaptiveTrainer,
+    plan_for_model,
+    validate_tuning_config,
+)
 from .eval.memory import MemoryReport, model_weight_bytes
 from .hw import (
     AcceleratorSpec,
@@ -104,7 +109,11 @@ class EdgeLLMConfig:
         options = enumerate_layer_options(
             self.bit_options, self.prune_options, self.slice_options
         )
-        _field("compute_budget", _validate_budget, self.compute_budget, options)
+        # The cheapest option on the menu is the budget's floor, so the
+        # error names the menu as well as the budget.
+        _field("compute_budget (for the bit_options, prune_options and "
+               "slice_options menu)", _validate_budget, self.compute_budget,
+               options)
         _field("sensitivity_metric", check_metric, self.sensitivity_metric, options)
         if self.policy_search not in _POLICY_SEARCHERS:
             raise ValueError(
@@ -130,6 +139,10 @@ class EdgeLLMConfig:
             micro_batches=self.micro_batches,
             stage_plan=self.stage_plan,
         )
+        # adapt() tunes through the pipeline trainer when either count is
+        # above one; that trainer's tuning-config rule runs here too.
+        if self.shards > 1 or self.micro_batches > 1:
+            validate_tuning_config(self.tuning)
 
 
 class EdgeLLM:
@@ -139,12 +152,14 @@ class EdgeLLM:
         self.model = model
         self.config = config or EdgeLLMConfig()
         # Settings that depend on the model (exit points, window, schedule
-        # name, more stages than blocks) fail here, not in adapt() after
-        # compress has run.
-        self.config.tuning.schedule_for(model.num_layers)
-        if self.config.shards > 1:
-            _field("shards", plan_for_model, model, self.config.shards,
-                   8, 32, self.config.stage_plan)
+        # name, more stages than blocks, a stage plan for another stage
+        # count) fail here, not in adapt() after compress has run.
+        cfg = self.config
+        cfg.tuning.schedule_for(model.num_layers)
+        if cfg.shards > 1 or cfg.stage_plan is not None:
+            _field("shards" if cfg.stage_plan is None else "stage_plan",
+                   lambda: plan_for_model(model, cfg.shards,
+                                          spec=cfg.stage_plan))
         self.policy: Optional[LUCPolicy] = None
         self.slice_spec: Optional[SliceSpec] = slice_spec(model)
         self.trainer: Optional[

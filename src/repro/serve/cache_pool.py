@@ -102,9 +102,8 @@ class PrefixTrie:
     """Radix trie of immutable, refcounted KV segments keyed by tokens.
 
     ``insert`` copies the inserted arrays into non-overlapping segments,
-    which are never written again.  ``pin`` (and ``lease``, which also
-    returns the prefix's arrays) splits nodes so pinned paths end on node
-    boundaries, keeping refcounts exact per segment.
+    which are never written again.  ``pin`` splits nodes so pinned paths
+    end on node boundaries, keeping refcounts exact per segment.
     """
 
     def __init__(self, num_layers: int):
@@ -214,22 +213,8 @@ class PrefixTrie:
             node.stamp = self._clock
         return length, path
 
-    def lease(
-        self, tokens: Sequence[int], max_tokens: Optional[int] = None
-    ) -> Tuple[int, List[np.ndarray], List[np.ndarray]]:
-        """:meth:`pin`, returning ``(length, k_list, v_list)``: per-layer
-        arrays covering positions ``[0, length)`` (fresh copies)."""
-        length, path = self.pin(tokens, max_tokens)
-        if not path:
-            return 0, [], []
-        k_list = [np.concatenate([node.k[layer] for node in path], axis=2)
-                  for layer in range(self.num_layers)]
-        v_list = [np.concatenate([node.v[layer] for node in path], axis=2)
-                  for layer in range(self.num_layers)]
-        return length, k_list, v_list
-
     def release(self, tokens: Sequence[int], length: int) -> None:
-        """Unpin a previously leased prefix of exactly ``length`` tokens."""
+        """Unpin a previously pinned prefix of exactly ``length`` tokens."""
         if length == 0:
             return
         tokens = tuple(int(t) for t in tokens)[:length]

@@ -86,7 +86,10 @@ class TestValidation:
     def test_rejects_more_shards_than_blocks(self):
         model = TransformerLM(small_config(num_layers=4))
         with pytest.raises(ValueError, match="shards"):
-            PipelineRunner(model, DistConfig(shards=5, serial=True))
+            PipelineRunner(
+                model, DistConfig(shards=5, serial=True),
+                AdaptiveTuningConfig(),
+            )
 
     def test_rejects_bad_dist_config(self):
         with pytest.raises(ValueError):

@@ -1,8 +1,7 @@
-"""Comm/compute overlap transport: prefetch buffering, backpressure,
-timeout-and-fallback.  Locks the :class:`repro.dist.PrefetchReceiver`
-contract the 1F1B worker loop rides on: message order is preserved
-exactly, a slow consumer can never deadlock the mesh, and deadline
-misses degrade visibly through ``dist/fallbacks``.
+"""Comm/compute overlap transport: prefetch buffering and backpressure.
+Locks the :class:`repro.dist.PrefetchReceiver` contract the 1F1B worker
+loop rides on: message order is preserved exactly, and a slow consumer
+can never deadlock the mesh.
 """
 
 import queue
@@ -11,9 +10,8 @@ import time
 
 import pytest
 
-from repro.dist import PrefetchReceiver, get_or_fallback
+from repro.dist import PrefetchReceiver
 from repro.dist.transport import merge_overlap_stats
-from repro.obs import use_registry
 
 
 def feed(q, items):
@@ -126,32 +124,3 @@ class TestOverlapStats:
         assert recv.hits == recv.misses == 0
         assert recv.recv_s == recv.wait_s == 0.0
 
-
-class TestTimeoutFallback:
-    def test_timeout_uses_fallback_and_counts(self):
-        """A missed receive deadline degrades to the fallback value and
-        increments ``dist/fallbacks`` instead of hanging the step."""
-        src = queue.Queue()
-        with use_registry() as reg:
-            got = get_or_fallback(src, 0.01, lambda: "fallback")
-            assert got == "fallback"
-            assert reg.counter("dist/fallbacks").value == 1
-
-    def test_delivery_beats_fallback(self):
-        src = queue.Queue()
-        src.put("real")
-        with use_registry() as reg:
-            assert get_or_fallback(src, 1.0, lambda: "fallback") == "real"
-            assert reg.counter("dist/fallbacks").value == 0
-
-    def test_works_through_prefetch_receiver(self):
-        """The worker loop wraps boundary queues in PrefetchReceiver;
-        the deadline contract must hold through the wrapper too."""
-        recv = PrefetchReceiver(queue.Queue())
-        try:
-            with use_registry() as reg:
-                got = get_or_fallback(recv, 0.01, lambda: "fallback")
-                assert got == "fallback"
-                assert reg.counter("dist/fallbacks").value == 1
-        finally:
-            recv.close()

@@ -115,6 +115,19 @@ class TestAdapt:
         with pytest.raises(ValueError, match="shards: 99 stages"):
             main(["adapt", *FAST_MODEL, "--model", checkpoint, "--shards", "99"])
 
+    def test_stage_plan_for_another_stage_count_fails_before_compressing(
+        self, checkpoint, monkeypatch
+    ):
+        from repro.pipeline import EdgeLLM
+
+        def compress(*args, **kwargs):
+            raise AssertionError("compress ran with an invalid config")
+
+        monkeypatch.setattr(EdgeLLM, "compress", compress)
+        with pytest.raises(ValueError, match="stage_plan"):
+            main(["adapt", *FAST_MODEL, "--model", checkpoint,
+                  "--stage-plan", "1,2"])
+
 
 class TestAdaptSharded:
     def test_sharded_pipeline_runs(self, checkpoint, capsys):
@@ -135,12 +148,19 @@ class TestAdaptSharded:
         assert exc.value.code == 2
         assert "--no-overlap" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", [
+        ["--shards", "2"],
+        ["--micro-batches", "2"],
+        ["--stage-plan", "1,2"],
+        ["--no-overlap"],
+    ], ids=lambda flag: flag[0])
     @pytest.mark.parametrize("command", ["generate", "serve-sim"])
-    def test_serving_commands_keep_no_overlap(self, command):
-        from repro.cli import build_parser
-
-        args = build_parser().parse_args([command, "--model", "x.npz", "--no-overlap"])
-        assert args.no_overlap is True
+    def test_serving_commands_reject_dist_flags(self, command, flag, capsys):
+        # Serving is single-process; only adapt shards.
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--model", "x.npz", *flag])
+        assert exc.value.code == 2
+        assert flag[0] in capsys.readouterr().err
 
 
 class TestSpeedup:
@@ -191,24 +211,6 @@ class TestGenerate:
                 "--confidence", "0.5",
             ])
 
-    def test_sharded_matches_single_process(self, checkpoint, capsys):
-        argv = [
-            "generate", "--model", checkpoint, "--prompt", "1", "2", "3",
-            "--max-new-tokens", "5",
-        ]
-        assert main(argv) == 0
-        plain = json.loads(capsys.readouterr().out)
-        assert main(argv + ["--shards", "2"]) == 0
-        sharded = json.loads(capsys.readouterr().out)
-        assert sharded["tokens"] == plain["tokens"]
-        assert sharded["shards"] == 2
-
-    def test_sharded_rejects_sampling(self, checkpoint):
-        with pytest.raises(SystemExit):
-            main([
-                "generate", "--model", checkpoint, "--prompt", "1",
-                "--shards", "2", "--sample",
-            ])
 
 
 class TestServeSim:
@@ -248,25 +250,6 @@ class TestServeSim:
         assert out["requests"] == 3
         assert out["rejected"] == 3
         assert out["completed"] == 0
-
-    def test_sharded_serving(self, checkpoint, capsys):
-        rc = main([
-            "serve-sim", "--model", checkpoint, "--requests", "4",
-            "--prompt-len", "6", "--max-new-tokens", "4", "--shards", "2",
-        ])
-        assert rc == 0
-        out = json.loads(capsys.readouterr().out)
-        assert out["requests"] == 4
-        assert out["completed"] == 4
-        assert out["new_tokens"] == 16
-        assert out["shards"] == 2
-
-    def test_sharded_rejects_scheduler_features(self, checkpoint):
-        with pytest.raises(SystemExit):
-            main([
-                "serve-sim", "--model", checkpoint, "--shards", "2",
-                "--prefix-sharing",
-            ])
 
     def test_telemetry_report_covers_serving(
         self, checkpoint, capsys, tmp_path

@@ -175,11 +175,27 @@ class TestConfigValidation:
         {"slice_options": (0.0,)},
         {"workers": -1},
         {"shards": 9},
+        {"stage_plan": "1,2"},
     ], ids=lambda fields: "-".join(f"{k}={v}" for k, v in fields.items()))
     def test_values_that_fail_late_are_rejected_at_build(self, fields):
         """Each of these used to pass ``EdgeLLM(...)`` and fail only inside
-        compress or adapt; now the build raises, naming the field."""
+        compress or adapt (or, for a stage plan at one shard, be ignored);
+        now the build raises, naming the field."""
         model = TransformerLM(small_config(num_layers=4))
         (name,) = fields
         with pytest.raises(ValueError, match=name):
             EdgeLLM(model, EdgeLLMConfig(**fields))
+
+    def test_micro_batched_stage_plan_rejected_at_build(self):
+        """Micro-batching alone runs the pipeline trainer at one stage; a
+        three-stage plan used to fail there, after compress, naming no
+        field."""
+        model = TransformerLM(small_config(num_layers=4))
+        config = EdgeLLMConfig(micro_batches=2, stage_plan="1,2")
+        with pytest.raises(ValueError, match="stage_plan: .* expected 1"):
+            EdgeLLM(model, config)
+
+    def test_one_stage_plan_accepted(self):
+        model = TransformerLM(small_config(num_layers=4))
+        EdgeLLM(model, EdgeLLMConfig(stage_plan=""))
+        EdgeLLM(model, EdgeLLMConfig(shards=2, stage_plan="2"))

@@ -84,3 +84,17 @@ def test_format_report_truncates_long_tables():
             reg.record_row("t", i=i)
         text = format_report(build_report(reg), max_rows=10)
     assert "(25 rows, last 10 shown)" in text
+
+
+def test_format_report_unions_columns_across_row_kinds():
+    """Rows of one table may carry different columns; the rendered table
+    has every column, in first-appearance order."""
+    with use_registry() as reg:
+        reg.record_row("mixed", iteration=0, mode="a", loss=2.5)
+        reg.record_row("mixed", iteration=1, mode="b", requests=4, tokens=32)
+        text = format_report(build_report(reg))
+    header = next(
+        line for line in text.splitlines() if "iteration" in line
+    )
+    columns = [c.strip() for c in header.split("|")]
+    assert columns == ["iteration", "mode", "loss", "requests", "tokens"]

@@ -2,15 +2,15 @@
 
 The trie is exercised two ways:
 
-* **Model-based fuzz**: random interleavings of insert/lease/release/
+* **Model-based fuzz**: random interleavings of insert/pin/release/
   evict are mirrored against a brute-force oracle (a set of stored
   token sequences plus a multiset of outstanding leases).  After every
   op the trie's resident tokens, refcounts and stored prefixes must
   match the oracle exactly — catching double frees, refcount drift and
   lost segments.
 * **Position-stamped KV integrity**: cache entries are synthesized as a
-  deterministic function of (layer, position, token), so any leased
-  arrays can be checked value-for-value no matter how nodes were split,
+  deterministic function of (layer, position, token), so any pinned
+  path's segments can be checked value-for-value no matter how nodes were split,
   merged or evicted along the way.
 """
 
@@ -59,6 +59,19 @@ def check_leased(tokens, length, k_list, v_list):
         np.testing.assert_array_equal(
             v_list[layer][:, :, :length, :], expect_v[layer]
         )
+
+
+def pin_segments(trie, tokens, max_tokens=None):
+    """``trie.pin``, plus the pinned path's segments concatenated per
+    layer: ``(length, k_list, v_list)`` covering ``[0, length)``."""
+    length, path = trie.pin(tokens, max_tokens)
+    if not path:
+        return 0, [], []
+    k_list = [np.concatenate([node.k[layer] for node in path], axis=2)
+              for layer in range(trie.num_layers)]
+    v_list = [np.concatenate([node.v[layer] for node in path], axis=2)
+              for layer in range(trie.num_layers)]
+    return length, k_list, v_list
 
 
 class Oracle:
@@ -129,7 +142,7 @@ class TestTrieBasics:
         trie = PrefixTrie(LAYERS)
         tokens = (5, 6, 7, 8, 9)
         trie.insert(tokens, *stamped_kv(list(tokens)))
-        length, ks, vs = trie.lease(tokens)
+        length, ks, vs = pin_segments(trie, tokens)
         assert length == 5
         check_leased(tokens, length, ks, vs)
         trie.release(tokens, length)
@@ -138,7 +151,7 @@ class TestTrieBasics:
         trie = PrefixTrie(LAYERS)
         tokens = (5, 6, 7, 8)
         trie.insert(tokens, *stamped_kv(list(tokens)))
-        length, ks, vs = trie.lease(tokens, max_tokens=2)
+        length, ks, vs = pin_segments(trie, tokens, max_tokens=2)
         assert length == 2
         check_leased(tokens, 2, ks, vs)
         # Split must not lose the tail.
@@ -155,7 +168,7 @@ class TestTrieBasics:
         trie = PrefixTrie(LAYERS)
         tokens = (1, 2, 3)
         trie.insert(tokens, *stamped_kv(list(tokens)))
-        length, _, _ = trie.lease(tokens)
+        length, _ = trie.pin(tokens)
         trie.release(tokens, length)
         with pytest.raises(RuntimeError, match="double release"):
             trie.release(tokens, length)
@@ -165,7 +178,7 @@ class TestTrieBasics:
         a, b = (1, 2, 3), (7, 8)
         trie.insert(a, *stamped_kv(list(a)))
         trie.insert(b, *stamped_kv(list(b)))
-        length, _, _ = trie.lease(a)
+        length, _ = trie.pin(a)
         with use_registry():
             freed = trie.evict(100)
         assert freed == 2  # only the unpinned (7, 8)
@@ -179,7 +192,7 @@ class TestTrieBasics:
         trie.insert(old, *stamped_kv(list(old)))
         trie.insert(new, *stamped_kv(list(new)))
         # Touch `old` so `new` becomes the LRU victim.
-        length, _, _ = trie.lease(old)
+        length, _ = trie.pin(old)
         trie.release(old, length)
         with use_registry():
             trie.evict(2)
@@ -205,20 +218,20 @@ class TestTrieFuzz:
         outstanding = []  # (tokens, length) mirror of oracle.leases
         with use_registry():
             for _ in range(300):
-                op = rng.choice(["insert", "lease", "release", "evict"])
+                op = rng.choice(["insert", "pin", "release", "evict"])
                 if op == "insert":
                     tokens = random_tokens()
                     added = trie.insert(tokens, *stamped_kv(list(tokens)))
                     before = oracle.unique_tokens()
                     oracle.stored.add(tokens)
                     assert added == oracle.unique_tokens() - before
-                elif op == "lease":
+                elif op == "pin":
                     tokens = random_tokens()
                     cap = (
                         int(rng.integers(0, len(tokens) + 1))
                         if rng.random() < 0.5 else None
                     )
-                    length, ks, vs = trie.lease(tokens, max_tokens=cap)
+                    length, ks, vs = pin_segments(trie, tokens, max_tokens=cap)
                     expect = oracle.match(tokens)
                     if cap is not None:
                         expect = min(expect, cap)
@@ -369,7 +382,7 @@ class TestPoolSharingFuzz:
                 prompt, len(prompt),
                 [c.k for c in block], [c.v for c in block],
             )
-            length, trie_k, trie_v = pool.trie.lease(prompt)
+            length, trie_k, trie_v = pin_segments(pool.trie, prompt)
             check_leased(prompt, length, trie_k, trie_v)
             pool.trie.release(prompt[:length], length)
             pool.release("a")
